@@ -1,10 +1,10 @@
-"""Cross-validating the sparse engine against a brute-force matrix.
+"""Cross-validating the sparse engine against a brute-force operator.
 
-The dense oracle truncates the lattice to a window, materializes the
-entire one-step operator as one explicit matrix, and applies it
-literally. It refuses windows the walk could outrun rather than letting
-a boundary fake a recurrence. On every instance the two routes agree to
-machine precision.
+The lattice oracle truncates the lattice to a window, assembles the
+entire one-step operator entrywise as (row, col, value) triplets, and
+applies it literally. It refuses windows the walk could outrun rather
+than letting a boundary fake a recurrence. On every instance the two
+routes agree to machine precision.
 """
 
 import math

@@ -52,6 +52,7 @@ from .errors import (
     DimensionMismatchError,
     NonUnitaryError,
     NormalizationError,
+    OracleTooLargeError,
     OrderMismatchError,
     PhaseSumError,
     WindowTooSmallError,
@@ -61,7 +62,6 @@ from .golden import TableComparison, golden_config, reproduce_table
 from .linalg import is_unitary, matrix_multiply, matrix_order
 from .momentum import (
     MomentumPropagator,
-    SignConvention,
     SpectrumReport,
     characteristic_eigenvalues,
     dense_oracle_evolve,
@@ -97,12 +97,12 @@ __all__ = [
     "MomentumPropagator",
     "NonUnitaryError",
     "NormalizationError",
+    "OracleTooLargeError",
     "OrderMismatchError",
     "PhaseSumError",
     "RevivalMode",
     "RevivalReport",
     "ShiftTable",
-    "SignConvention",
     "SpectrumReport",
     "TOL_MAT",
     "TOL_NORM",

@@ -9,7 +9,7 @@ Subcommands::
     spectrum         momentum-space eigenvalue sweep
     reproduce-table  replay a bundled golden walk against its frozen table
 
-Exit codes: 0 success (or PASS), 1 golden-table FAIL, 2 config error.
+Exit codes: 0 success (or PASS), 1 golden-table FAIL, 2 config or argument error.
 JSON records go to --out when given, else stdout.
 """
 
@@ -117,6 +117,18 @@ def _cmd_reproduce_table(args) -> int:
     return EXIT_OK if comparison.passed else EXIT_FAIL
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low`` (else a usage error, exit 2)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revivalwalk",
@@ -134,13 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("coin-build", _cmd_coin_build, "build the configured coin and emit its matrix")
     p = add("coin-order", _cmd_coin_order, "find the coin's matrix order")
-    p.add_argument("--max-order", type=int, default=128, help="largest power to try")
+    p.add_argument("--max-order", type=_int_at_least(1), default=128, help="largest power to try")
     p = add("walk-run", _cmd_walk_run, "run the walk, dumping every state")
     p.add_argument("--csv", default=None, help="also write a per-step probability CSV here")
     add("walk-period", _cmd_walk_period, "search for the revival period")
     p = add("spectrum", _cmd_spectrum, "sweep the momentum propagator's eigenvalues")
-    p.add_argument("--samples", type=int, default=10, help="number of momentum samples")
-    p.add_argument("--seed", type=int, default=None, help="override the config's sampling seed")
+    p.add_argument("--samples", type=_int_at_least(2), default=10,
+                   help="number of momentum samples")
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
+                   help="override the config's sampling seed")
     p = add("reproduce-table", _cmd_reproduce_table,
             "replay a bundled golden walk against its frozen amplitudes", config=False)
     p.add_argument("--which", type=int, required=True, choices=(1, 2, 3),
@@ -152,10 +166,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -64,6 +64,14 @@ class WindowTooSmallError(ValueError):
         )
 
 
+class OracleTooLargeError(ValueError):
+    """The lattice oracle's operator would not fit its byte budget."""
+
+    def __init__(self, budget: int, requested: int):
+        self.budget, self.requested = budget, requested
+        super().__init__(f"oracle needs {requested} bytes of triplets; budget {budget} bytes")
+
+
 class OrderMismatchError(ValueError):
     """Sampled momentum points disagree on the propagator's order."""
 

@@ -1,22 +1,22 @@
-"""Momentum-space propagator, spectrum checks, and a dense lattice oracle.
+"""Momentum-space propagator, spectrum checks, and a lattice oracle.
 
 At quasi-momentum k the walk is governed by an n x n matrix: the coin
-with each row j multiplied by a plane-wave factor exp(sigma*i*sum_r
-a_{r,j} k_r). For cyclic coins with zero-sum shifts the product of the
-nonzero entries is 1 regardless of k, so the characteristic polynomial is
+with each row j multiplied by the plane-wave factor exp(-i sum_r a_{r,j}
+k_r). For cyclic coins with zero-sum shifts the product of the nonzero
+entries is 1 regardless of k, so the characteristic polynomial is
 lambda^n - 1 and the spectrum is the n-th roots of unity at every k. That
 flatness is the fingerprint of exact revivals, and this module verifies
-it two independent ways (closed form and numeric eigensolver).
+it two independent ways (closed form and one batched eigensolve).
 
-The dense oracle cross-checks the sparse engine by materializing the full
-one-step matrix on a truncated lattice window and applying it literally.
-It refuses windows that the evolution could outrun: amplitudes reaching a
-boundary would be dropped, and a wrapped boundary would fake revivals.
+The lattice oracle cross-checks the sparse engine: it assembles the
+one-step operator on a truncated window entrywise, keeps its nonzero
+(row, col, value) triplets, and applies them literally. It refuses
+windows the evolution could outrun (a boundary would drop amplitude or
+fake revivals) and windows whose triplets exceed ORACLE_BUDGET_BYTES.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -26,18 +26,17 @@ import numpy as np
 
 from .coins import CoinKind, CoinMatrix, TAU
 from .engine import WalkInstance
-from .errors import ConstraintError, DimensionMismatchError, OrderMismatchError, WindowTooSmallError
+from .errors import (ConstraintError, DimensionMismatchError, OracleTooLargeError,
+                     OrderMismatchError, WindowTooSmallError)
 from .linalg import matrix_order
 from .shifts import ShiftTable
-from .states import Position, WalkState
+from .states import WalkState
 from .tolerances import TOL_MAT
 
-
-class SignConvention(enum.Enum):
-    """Sign of i in the plane-wave factor exp(sigma * i * a.k)."""
-
-    PLUS_IK = 1
-    MINUS_IK = -1
+#: Largest triplet store (row and col as intp, value as complex128) that
+#: dense_oracle_evolve builds; larger windows raise OracleTooLargeError.
+ORACLE_BUDGET_BYTES = 2**25
+_TRIPLET_BYTES = 2 * np.dtype(np.intp).itemsize + np.dtype(np.complex128).itemsize
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +50,6 @@ class MomentumPropagator:
 
     coin: CoinMatrix
     shifts: ShiftTable
-    sign_convention: SignConvention = SignConvention.MINUS_IK
 
     def __post_init__(self) -> None:
         if self.coin.n != self.shifts.n:
@@ -76,38 +74,33 @@ def wrap_momentum(k: float) -> float:
     return r
 
 
-def _as_momentum(prop: MomentumPropagator, k) -> np.ndarray:
+def _as_momenta(prop: MomentumPropagator, k) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    if arr.shape != (prop.d,):
+    if arr.ndim > 2 or arr.shape[-1] != prop.d:
         raise DimensionMismatchError(
             f"momentum must have {prop.d} component(s), got shape {arr.shape}"
         )
-    return np.array([wrap_momentum(c) for c in arr])
+    return np.vectorize(wrap_momentum, otypes=[np.float64])(arr)
 
 
 def evaluate_propagator(prop: MomentumPropagator, k) -> np.ndarray:
-    """The n x n step matrix at momentum k (components wrapped into [-pi, pi)).
+    """The step matrix at momentum k (components wrapped into [-pi, pi)).
 
-    Row j of the coin picks up exp(sigma * i * sum_r a_{r,j} k_r), i.e. the
-    matrix is the diagonal of plane-wave factors times the coin.
+    Row j of the coin picks up exp(-i * sum_r a_{r,j} k_r), i.e. the
+    matrix is the diagonal of plane-wave factors times the coin. A k of
+    shape (d,) gives one n x n matrix; a k of shape (S, d) gives the
+    (S, n, n) stack of the matrices at its S rows.
     """
-    kk = _as_momentum(prop, k)
+    kk = _as_momenta(prop, k)
     a = np.asarray(prop.shifts.displacements, dtype=np.float64)  # d x n
-    row_phases = kk @ a  # length n: sum_r a[r, j] * k_r
-    factors = np.exp(1j * prop.sign_convention.value * row_phases)
-    return factors[:, None] * prop.coin.matrix
+    factors = np.exp(-1j * (kk @ a))  # (..., n): sum_r a[r, j] * k_r
+    return factors[..., :, None] * prop.coin.matrix
 
 
-def momentum_samples(d: int, n_random: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Deterministic edge points (0 and -pi on each axis) plus random draws."""
-    samples = [np.zeros(d)]
-    for axis in range(d):
-        edge = np.zeros(d)
-        edge[axis] = -math.pi
-        samples.append(edge)
-    for _ in range(n_random):
-        samples.append(rng.uniform(-math.pi, math.pi, size=d))
-    return samples
+def momentum_samples(d: int, n_random: int, rng: np.random.Generator) -> np.ndarray:
+    """Deterministic edge points (0 and -pi on each axis) plus random draws, one per row."""
+    edges = np.diag([-math.pi] * d)
+    return np.vstack([np.zeros(d), edges, rng.uniform(-math.pi, math.pi, size=(n_random, d))])
 
 
 def propagator_order(
@@ -129,40 +122,51 @@ def propagator_order(
         raise ValueError(f"k_samples must be >= 1, got {k_samples}")
     rng = np.random.default_rng(seed)
     samples = momentum_samples(prop.d, k_samples, rng)
-    orders = [matrix_order(evaluate_propagator(prop, k), max_order, tol) for k in samples]
-    first = orders[0]
+    orders = [matrix_order(v, max_order, tol) for v in evaluate_propagator(prop, samples)]
     for k, order in zip(samples, orders):
-        if order != first:
+        if order != orders[0]:
             raise OrderMismatchError(
-                f"propagator order differs across momenta: {first} at "
-                f"{tuple(samples[0])} vs {order} at {tuple(k)}"
+                f"propagator order differs across momenta: {orders[0]} at "
+                f"{tuple(samples[0].tolist())} vs {order} at {tuple(k.tolist())}"
             )
-    return first
+    return orders[0]
+
+
+def canonical_order(values) -> np.ndarray:
+    """Sort along the last axis by principal argument, with -1 always last.
+
+    An argument within TOL_MAT of -pi counts as +pi, so an eigenvalue on
+    the cut sorts to the same end whichever side rounding puts it on.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    args = np.angle(values)
+    args = np.where(args <= -math.pi + TOL_MAT, math.pi, args)
+    return np.take_along_axis(values, np.argsort(args, axis=-1, kind="stable"), axis=-1)
 
 
 def roots_of_unity(n: int) -> np.ndarray:
-    """The n-th roots of unity sorted by principal argument."""
-    roots = np.exp(2j * math.pi * np.arange(n) / n)
-    return roots[np.argsort(np.angle(roots))]
+    """The n-th roots of unity in canonical order."""
+    return canonical_order(np.exp(2j * math.pi * np.arange(n) / n))
 
 
-def _sorted_by_argument(values: np.ndarray) -> np.ndarray:
-    return values[np.argsort(np.angle(values))]
+def _aligned_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-abs distance at the best cyclic alignment, broadcast over leading axes."""
+    n = b.shape[-1]
+    rolls = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # row s: np.roll by s
+    return np.abs(a[..., None, :] - b[..., rolls]).max(axis=-1).min(axis=-1)
 
 
 def spectrum_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Distance between two same-size unit-circle spectra.
 
-    Both inputs are sorted by argument; the principal-argument cut at
-    +/-pi can rotate one sorted sequence relative to the other, so the
-    distance is the best cyclic alignment of the two.
+    Both inputs are put in canonical order; the cut at +/-pi can still
+    rotate one sequence relative to the other, so the distance is taken
+    at the best cyclic alignment of the two.
     """
-    a = _sorted_by_argument(np.asarray(a, dtype=np.complex128))
-    b = _sorted_by_argument(np.asarray(b, dtype=np.complex128))
+    a, b = canonical_order(a), canonical_order(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"spectra differ in size: {a.shape} vs {b.shape}")
-    n = len(a)
-    return min(float(np.abs(a - np.roll(b, s)).max()) for s in range(n))
+    return float(_aligned_distance(a, b))
 
 
 def characteristic_eigenvalues(prop: MomentumPropagator, k) -> np.ndarray:
@@ -170,7 +174,8 @@ def characteristic_eigenvalues(prop: MomentumPropagator, k) -> np.ndarray:
 
     The determinant of (V - lambda*I) reduces to lambda^n minus the
     product p of the n nonzero entries, so the eigenvalues are the n-th
-    roots of p. Returned sorted by principal argument.
+    roots of p. Returned in canonical order; a k of shape (S, d) gives
+    one row per momentum.
     """
     if prop.coin.kind is not CoinKind.CYCLIC:
         raise ConstraintError(
@@ -178,22 +183,18 @@ def characteristic_eigenvalues(prop: MomentumPropagator, k) -> np.ndarray:
         )
     v = evaluate_propagator(prop, k)
     n = prop.n
-    p = v[0, n - 1]
-    for j in range(1, n):
-        p = p * v[j, j - 1]
-    magnitude = abs(p) ** (1.0 / n)
-    base = np.angle(p) / n
-    roots = magnitude * np.exp(1j * (base + TAU * np.arange(n) / n))
-    return _sorted_by_argument(roots)
+    p = np.prod(v[..., np.arange(n), np.arange(n) - 1], axis=-1)  # entries (j, j-1 mod n)
+    magnitude, base = np.abs(p)[..., None] ** (1.0 / n), np.angle(p)[..., None] / n
+    return canonical_order(magnitude * np.exp(1j * (base + TAU * np.arange(n) / n)))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Eigenvalues of the propagator across momentum samples.
 
-    ``k_independent`` records whether the argument-sorted spectra agree
-    across all samples; ``matches_roots_of_unity`` whether each one equals
-    the n-th roots of unity. Both at the dense-matrix tolerance.
+    ``k_independent`` records whether the canonically ordered spectra
+    agree across all samples; ``matches_roots_of_unity`` whether each one
+    equals the n-th roots of unity. Both at the dense-matrix tolerance.
     """
 
     k_samples: tuple[tuple[float, ...], ...]
@@ -218,31 +219,21 @@ def spectrum_sweep(
         raise ValueError(f"need at least 2 samples, got {samples}")
     rng = np.random.default_rng(seed)
     points = momentum_samples(prop.d, max(0, samples - (prop.d + 1)), rng)[:samples]
-    spectra = []
-    for k in points:
-        eig = np.linalg.eigvals(evaluate_propagator(prop, k))
-        spectra.append(_sorted_by_argument(eig))
-    reference = spectra[0]
-    k_independent = all(spectrum_distance(reference, s) <= tol for s in spectra[1:])
-    expected = roots_of_unity(prop.n)
-    matches = all(spectrum_distance(expected, s) <= tol for s in spectra)
+    spectra = canonical_order(np.linalg.eigvals(evaluate_propagator(prop, points)))
+    k_independent = bool(np.all(_aligned_distance(spectra[0], spectra[1:]) <= tol))
+    matches = bool(np.all(_aligned_distance(roots_of_unity(prop.n), spectra) <= tol))
     return SpectrumReport(
-        k_samples=tuple(tuple(float(c) for c in k) for k in points),
-        eigenvalue_sets=tuple(tuple(complex(x) for x in s) for s in spectra),
+        k_samples=tuple(map(tuple, points.tolist())),
+        eigenvalue_sets=tuple(map(tuple, spectra.tolist())),
         k_independent=k_independent,
         matches_roots_of_unity=matches,
     )
 
 
 def _required_half_widths(instance: WalkInstance, t: int) -> tuple[int, ...]:
-    d = instance.shifts.d
     positions = instance.initial.positions()
-    required = []
-    for r in range(d):
-        reach = max(abs(a) for a in instance.shifts.displacements[r])
-        radius = max(abs(pos[r]) for pos in positions)
-        required.append(radius + reach * t)
-    return tuple(required)
+    return tuple(max(abs(pos[r]) for pos in positions) + max(map(abs, row)) * t
+                 for r, row in enumerate(instance.shifts.displacements))
 
 
 def dense_oracle_evolve(
@@ -250,14 +241,15 @@ def dense_oracle_evolve(
     t: int,
     window: Sequence[int],
 ) -> WalkState:
-    """Brute-force evolution via one explicit dense step matrix.
+    """Brute-force evolution via one explicit step operator.
 
     The lattice is truncated to the box |x_r| <= window[r]; the one-step
     operator on the n * prod(2*window[r] + 1) dimensional truncated space
-    is materialized entrywise and applied t times to the embedded initial
-    state. The window must be wide enough that no amplitude can touch the
-    boundary within t steps, otherwise the call refuses and reports the
-    minimum usable half-widths.
+    is assembled entrywise as (row, col, value) triplets and applied t
+    times to the embedded initial state. The window must be wide enough
+    that no amplitude can touch the boundary within t steps, otherwise the
+    call refuses and reports the minimum usable half-widths; a window
+    whose triplets would exceed ORACLE_BUDGET_BYTES is refused up front.
     """
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
@@ -270,36 +262,32 @@ def dense_oracle_evolve(
     required = _required_half_widths(instance, t)
     if any(w < need for w, need in zip(half, required)):
         raise WindowTooSmallError(half, required)
-
-    axes = [range(-w, w + 1) for w in half]
-    positions: list[Position] = [tuple(map(int, p)) for p in product(*axes)]
-    index = {pos: i for i, pos in enumerate(positions)}
-    size = n * len(positions)
-
     coin = instance.coin.matrix
-    cols = tuple(
-        tuple(instance.shifts.displacements[r][j] for r in range(d)) for j in range(n)
-    )
-    u = np.zeros((size, size), dtype=np.complex128)
+    hops = [[(j, coin[i, j]) for j in range(n) if coin[i, j] != 0] for i in range(n)]
+    requested = math.prod(2 * w + 1 for w in half) * sum(map(len, hops)) * _TRIPLET_BYTES
+    if requested > ORACLE_BUDGET_BYTES:
+        raise OracleTooLargeError(ORACLE_BUDGET_BYTES, requested)
+
+    index = {pos: i for i, pos in enumerate(product(*(range(-w, w + 1) for w in half)))}
+    size = n * len(index)
+    moves = list(zip(*instance.shifts.displacements))  # per coin slot, a d-vector
+    rows, sources, values = [], [], []
     for pos, ip in index.items():
         for i in range(n):
-            target = tuple(x + a for x, a in zip(pos, cols[i]))
-            iy = index.get(target)
+            iy = index.get(tuple(x + a for x, a in zip(pos, moves[i])))
             if iy is None:
                 continue  # unreachable under the window precondition
-            for j in range(n):
-                if coin[i, j] != 0:
-                    u[iy * n + i, ip * n + j] = coin[i, j]
+            for j, value in hops[i]:
+                rows.append(iy * n + i)
+                sources.append(ip * n + j)
+                values.append(value)
+    rows, sources, values = np.array(rows), np.array(sources), np.array(values, dtype=complex)
 
     vec = np.zeros(size, dtype=np.complex128)
     for pos, amps in instance.initial.items():
-        vec[index[pos] * n : index[pos] * n + n] = amps
+        vec.reshape(-1, n)[index[pos]] = amps
     for _ in range(t):
-        vec = u @ vec
-
-    amplitudes: dict[Position, np.ndarray] = {}
-    for pos, ip in index.items():
-        block = vec[ip * n : ip * n + n]
-        if block.any():
-            amplitudes[pos] = block
-    return WalkState(d, n, amplitudes)
+        terms = values * vec[sources]
+        vec = np.bincount(rows, terms.real, size) + 1j * np.bincount(rows, terms.imag, size)
+    blocks = vec.reshape(-1, n)
+    return WalkState(d, n, {pos: blocks[ip] for pos, ip in index.items() if blocks[ip].any()})

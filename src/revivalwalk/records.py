@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import WalkConfig, build_coin, build_instance, build_shifts
 from .engine import RevivalMode, step
-from .momentum import MomentumPropagator, SignConvention, spectrum_sweep
+from .momentum import MomentumPropagator, spectrum_sweep
 from .states import WalkState, inner_product, l2_distance
 
 
@@ -97,16 +97,9 @@ def probability_csv(record: dict) -> str:
     return out.getvalue()
 
 
-def run_spectrum(
-    config: WalkConfig,
-    samples: int,
-    seed: int | None = None,
-    sign_convention: SignConvention = SignConvention.MINUS_IK,
-) -> dict:
+def run_spectrum(config: WalkConfig, samples: int, seed: int | None = None) -> dict:
     """Sweep the momentum propagator of a config across sampled momenta."""
-    coin = build_coin(config)
-    shifts = build_shifts(config)
-    prop = MomentumPropagator(coin=coin, shifts=shifts, sign_convention=sign_convention)
+    prop = MomentumPropagator(coin=build_coin(config), shifts=build_shifts(config))
     report = spectrum_sweep(
         prop, samples, seed=config.seed if seed is None else seed,
         tol=config.tolerances.mat,

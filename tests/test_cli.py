@@ -114,6 +114,22 @@ def test_spectrum_dispersive_counter_check(tmp_path):
     assert record["k_independent"] is False
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (("spectrum", "--samples", "1"), "--samples"),
+        (("spectrum", "--samples", "0"), "--samples"),
+        (("spectrum", "--seed", "-1"), "--seed"),
+        (("coin-order", "--max-order", "0"), "--max-order"),
+    ],
+)
+def test_out_of_range_arguments_exit_2_naming_the_argument(table2_path, args, name):
+    proc = run_cli(*args, "--config", table2_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"argument {name}: must be >= " in proc.stderr.strip().splitlines()[-1]
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"d": 1, "n": 2')

@@ -1,22 +1,26 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_cyclic_instance, random_sparse_state
+from helpers import random_cyclic_instance, random_sparse_state, random_zero_sum_row
 from revivalwalk import (
+    TOL_MAT,
     ConstraintError,
     DimensionMismatchError,
     MomentumPropagator,
+    OracleTooLargeError,
     OrderMismatchError,
-    SignConvention,
     WalkInstance,
     WalkState,
     WindowTooSmallError,
     build_custom_coin,
     build_cyclic_coin,
     build_general_coin_1d,
+    build_instance,
     build_partial_cycle_coin,
     build_shift_table,
     characteristic_eigenvalues,
@@ -24,6 +28,7 @@ from revivalwalk import (
     dense_oracle_evolve,
     evaluate_propagator,
     evolve,
+    golden_config,
     is_unitary,
     l2_distance,
     propagator_order,
@@ -34,12 +39,13 @@ from revivalwalk import (
     usual_shift_choice,
     wrap_momentum,
 )
+from revivalwalk.momentum import canonical_order, momentum_samples
 
 
-def three_state_prop(sign=SignConvention.MINUS_IK):
+def three_state_prop():
     coin = build_cyclic_coin([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
     shifts = build_shift_table([(-5, 3, 2)])
-    return MomentumPropagator(coin=coin, shifts=shifts, sign_convention=sign)
+    return MomentumPropagator(coin=coin, shifts=shifts)
 
 
 def hadamard_prop():
@@ -65,18 +71,16 @@ def test_evaluate_swap_at_zero_momentum():
     )
 
 
-@pytest.mark.parametrize("sign", list(SignConvention))
-def test_evaluate_three_state_entries(sign):
-    prop = three_state_prop(sign)
+def test_evaluate_three_state_entries():
+    prop = three_state_prop()
     k = 0.7
     v = evaluate_propagator(prop, [k])
-    s = sign.value
-    assert cmath.isclose(v[0, 2], cmath.exp(1j * s * -5 * k), abs_tol=1e-14)
+    assert cmath.isclose(v[0, 2], cmath.exp(-1j * -5 * k), abs_tol=1e-14)
     assert cmath.isclose(
-        v[1, 0], cmath.exp(1j * s * 3 * k) * cmath.exp(2j * math.pi / 3), abs_tol=1e-14
+        v[1, 0], cmath.exp(-1j * 3 * k) * cmath.exp(2j * math.pi / 3), abs_tol=1e-14
     )
     assert cmath.isclose(
-        v[2, 1], cmath.exp(1j * s * 2 * k) * cmath.exp(4j * math.pi / 3), abs_tol=1e-14
+        v[2, 1], cmath.exp(-1j * 2 * k) * cmath.exp(4j * math.pi / 3), abs_tol=1e-14
     )
     product = v[0, 2] * v[1, 0] * v[2, 1]
     assert cmath.isclose(product, 1.0, abs_tol=1e-12)
@@ -99,6 +103,20 @@ def test_evaluate_accepts_scalar_momentum_in_1d():
 def test_evaluate_momentum_shape_checked():
     with pytest.raises(DimensionMismatchError):
         evaluate_propagator(three_state_prop(), [0.1, 0.2])
+
+
+def test_evaluate_stacks_momenta_row_by_row():
+    prop = MomentumPropagator(
+        coin=build_cyclic_coin([0.0, 2 * math.pi / 3, 4 * math.pi / 3]),
+        shifts=build_shift_table([(1, 1, -2), (-1, -1, 2)]),
+    )
+    ks = np.random.default_rng(8).uniform(-4.0, 4.0, size=(5, 2))
+    stack = evaluate_propagator(prop, ks)
+    closed = characteristic_eigenvalues(prop, ks)
+    assert stack.shape == (5, 3, 3) and closed.shape == (5, 3)
+    for k, v, values in zip(ks, stack, closed):
+        np.testing.assert_allclose(v, evaluate_propagator(prop, k), atol=1e-14)
+        np.testing.assert_allclose(values, characteristic_eigenvalues(prop, k), atol=1e-14)
 
 
 def test_evaluate_is_unitary_at_random_momenta():
@@ -148,9 +166,8 @@ def test_propagator_order_six_state_usual_shifts():
     assert propagator_order(prop, 10, 12) == 6
 
 
-@pytest.mark.parametrize("sign", list(SignConvention))
-def test_order_and_spectrum_are_convention_independent(sign):
-    prop = three_state_prop(sign)
+def test_three_state_order_and_spectrum():
+    prop = three_state_prop()
     assert propagator_order(prop, 5, 8) == 3
     report = spectrum_sweep(prop, 6)
     assert report.k_independent and report.matches_roots_of_unity
@@ -205,6 +222,61 @@ def test_spectrum_distance_robust_at_argument_cut():
     a = roots_of_unity(2)
     nudged = np.array([1.0, np.exp(1j * (-math.pi + 1e-12))])
     assert spectrum_distance(a, nudged) <= 1e-10
+    # Past the canonical-order margin, -1 sorts first; the alignment absorbs it.
+    rotated = roots_of_unity(4) * np.exp(1e-9j)
+    assert spectrum_distance(roots_of_unity(4), rotated) <= 1e-8
+
+
+def test_canonical_order_puts_minus_one_last_on_either_side_of_the_cut():
+    for im in (1e-15, -1e-15):
+        values = canonical_order([complex(-1.0, im), 1.0, 1j, -1j])
+        np.testing.assert_array_equal(values, [-1j, 1.0, 1j, complex(-1.0, im)])
+    assert roots_of_unity(4)[-1] == np.exp(1j * math.pi)
+
+
+def test_sweep_matches_per_sample_eigensolver_in_canonical_order():
+    # n = 16 puts -1 in every spectrum, where rounding picks the side of the cut.
+    rng = np.random.default_rng(16)
+    prop = MomentumPropagator(
+        coin=build_cyclic_coin(random_cyclic_phases(16, rng)),
+        shifts=build_shift_table([random_zero_sum_row(16, rng) for _ in range(3)]),
+    )
+    report = spectrum_sweep(prop, 60, seed=7)
+    assert report.k_independent and report.matches_roots_of_unity
+    for k, values in zip(report.k_samples, report.eigenvalue_sets):
+        single = canonical_order(np.linalg.eigvals(evaluate_propagator(prop, k)))
+        assert np.abs(np.array(values) - single).max() <= 1e-12
+
+
+def per_sample_flags(prop, samples, seed):
+    """Sweep flags from one eigensolve and one spectrum_distance call per sample."""
+    rng = np.random.default_rng(seed)
+    points = momentum_samples(prop.d, max(0, samples - (prop.d + 1)), rng)[:samples]
+    spectra = [np.linalg.eigvals(evaluate_propagator(prop, k)) for k in points]
+    roots = roots_of_unity(prop.n)
+    return (
+        all(spectrum_distance(spectra[0], s) <= TOL_MAT for s in spectra[1:]),
+        all(spectrum_distance(roots, s) <= TOL_MAT for s in spectra),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(2, 8),
+    samples=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_sweep_flags_match_per_sample_route(d, n, samples, seed):
+    rng = np.random.default_rng(seed)
+    cyclic = MomentumPropagator(
+        coin=build_cyclic_coin(random_cyclic_phases(n, rng)),
+        shifts=build_shift_table([random_zero_sum_row(n, rng) for _ in range(d)]),
+    )
+    for prop in (cyclic, hadamard_prop()):
+        report = spectrum_sweep(prop, samples, seed=seed)
+        flags = (report.k_independent, report.matches_roots_of_unity)
+        assert flags == per_sample_flags(prop, samples, seed)
 
 
 def test_spectrum_sweep_flat_for_revival_walk():
@@ -305,6 +377,41 @@ def test_oracle_window_shape_checked():
 def test_oracle_rejects_negative_steps():
     with pytest.raises(ValueError):
         dense_oracle_evolve(two_state_instance(), -1, (5,))
+
+
+def test_oracle_golden_walk_3_at_nine_steps():
+    # As a dense N x N matrix this window took 270 MB.
+    instance = build_instance(golden_config(3))
+    dense = dense_oracle_evolve(instance, 9, (18, 18))
+    assert l2_distance(dense, evolve(instance, 9)) <= 1e-12
+
+
+def test_oracle_matches_engine_on_hadamard_walk():
+    # Every row of a rotation coin has two nonzeros, so rows sum several triplets.
+    a2 = 1 / math.sqrt(2)
+    instance = WalkInstance(
+        coin=build_general_coin_1d(math.pi / 4, 0.0, 0.0),
+        shifts=conventional_two_state_shifts(),
+        initial=WalkState.from_entries(1, 2, [((0,), 0, a2), ((0,), 1, 1j * a2)]),
+    )
+    for t in (1, 5, 12):
+        dense = dense_oracle_evolve(instance, t, (t,))
+        assert len(dense) == t + 1
+        assert l2_distance(dense, evolve(instance, t)) <= 1e-12
+
+
+def test_oracle_refuses_windows_over_its_byte_budget_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleTooLargeError) as info:
+            dense_oracle_evolve(plane_instance(), 3, (10**6, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    error = info.value
+    assert error.requested > error.budget
+    assert str(error.requested) in str(error) and str(error.budget) in str(error)
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("case", range(5))
