@@ -44,6 +44,7 @@ from .engine import (
     probability_distribution,
     stationary_component_check,
     step,
+    trajectory,
 )
 from .errors import (
     ConfigError,
@@ -59,7 +60,7 @@ from .errors import (
     ZeroSumError,
 )
 from .golden import TableComparison, golden_config, reproduce_table
-from .linalg import is_unitary, matrix_multiply, matrix_order
+from .linalg import is_unitary, matrix_order
 from .momentum import (
     MomentumPropagator,
     SpectrumReport,
@@ -139,7 +140,6 @@ __all__ = [
     "is_unitary",
     "l2_distance",
     "load_config",
-    "matrix_multiply",
     "matrix_order",
     "parse_config",
     "parse_phase",
@@ -157,6 +157,7 @@ __all__ = [
     "spectrum_sweep",
     "stationary_component_check",
     "step",
+    "trajectory",
     "usual_shift_choice",
     "wrap_momentum",
     "wrap_phase",

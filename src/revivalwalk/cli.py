@@ -9,8 +9,9 @@ Subcommands::
     spectrum         momentum-space eigenvalue sweep
     reproduce-table  replay a bundled golden walk against its frozen table
 
-Exit codes: 0 success (or PASS), 1 golden-table FAIL, 2 config or argument error.
-JSON records go to --out when given, else stdout.
+Exit codes: 0 success (or PASS), 1 golden-table FAIL, 2 config or argument
+error, 3 output error (--out or --csv cannot be written). JSON records go to
+--out when given, else stdout.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .records import probability_csv, run_spectrum, run_walk
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+EXIT_IO = 3
 
 
 def _emit(record: dict, out: str | None) -> None:
@@ -77,8 +79,8 @@ def _cmd_coin_order(args) -> int:
 
 
 def _cmd_walk_run(args) -> int:
-    config = load_config(args.config)
-    record = run_walk(config)
+    # The config (and the instance it holds) is released once the walk has run.
+    record = run_walk(load_config(args.config))
     _emit(record, args.out)
     if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
@@ -88,8 +90,7 @@ def _cmd_walk_run(args) -> int:
 
 def _cmd_walk_period(args) -> int:
     config = load_config(args.config)
-    instance = build_instance(config)
-    report = detect_revival(instance, config.max_steps, config.revival_mode)
+    report = detect_revival(build_instance(config), config.max_steps, config.revival_mode)
     _emit(
         {
             "schema_version": 1,
@@ -166,9 +167,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # config files are read by load_config, so this is output
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

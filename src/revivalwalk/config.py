@@ -19,6 +19,7 @@ import math
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 from .coins import (
@@ -30,7 +31,7 @@ from .coins import (
     build_partial_cycle_coin,
 )
 from .engine import RevivalMode, WalkInstance
-from .errors import ConfigError, ConstraintError, DimensionMismatchError, NormalizationError
+from .errors import ConfigError, ConstraintError, DimensionMismatchError
 from .shifts import ShiftTable, build_shift_table, usual_shift_choice
 from .states import WalkState
 from .tolerances import Tolerances
@@ -95,6 +96,15 @@ class WalkConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
     revival_mode: RevivalMode = RevivalMode.EXACT
     seed: int = 0
+
+    @cached_property
+    def instance(self) -> WalkInstance:
+        """The walk this config describes, built (and so validated) once."""
+        coin, shifts, state = build_coin(self), build_shifts(self), initial_state(self)
+        try:
+            return WalkInstance(coin=coin, shifts=shifts, initial=state, tolerances=self.tolerances)
+        except ValueError as exc:
+            raise ConfigError("<config>", str(exc)) from exc
 
 
 # -- parsing ----------------------------------------------------------------
@@ -229,11 +239,14 @@ def _parse_tolerances(obj) -> Tolerances:
     if not isinstance(obj, Mapping):
         raise ConfigError("tolerances", "expected an object")
     _check_keys(obj, {"norm", "mat", "phase", "revival"}, "tolerances.")
-    kwargs = {key: _as_number(value, f"tolerances.{key}") for key, value in obj.items()}
-    try:
-        return Tolerances(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("tolerances", str(exc)) from exc
+    kwargs = {}
+    for key, value in obj.items():
+        kwargs[key] = _as_number(value, f"tolerances.{key}")
+        try:
+            Tolerances(**{key: kwargs[key]})
+        except ValueError as exc:
+            raise ConfigError(f"tolerances.{key}", str(exc)) from exc
+    return Tolerances(**kwargs)
 
 
 def parse_config(text: Union[bytes, str]) -> WalkConfig:
@@ -285,15 +298,17 @@ def parse_config(text: Union[bytes, str]) -> WalkConfig:
         max_steps=max_steps, tolerances=tolerances,
         revival_mode=RevivalMode(mode_raw), seed=seed,
     )
-    # Deep validation: constructing the instance surfaces constraint
-    # violations (phase sums, zero sums, norms) with config field paths.
-    build_instance(config)
+    config.instance  # deep validation: violations surface with config field paths
     return config
 
 
 def load_config(path) -> WalkConfig:
-    with open(path, "rb") as handle:
-        return parse_config(handle.read())
+    try:
+        with open(path, "rb") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError("<config>", f"cannot read {path}: {exc.strerror}") from exc
+    return parse_config(text)
 
 
 # -- construction -----------------------------------------------------------
@@ -339,12 +354,10 @@ def build_shifts(config: WalkConfig) -> ShiftTable:
         grid = list(config.shifts)
     try:
         return build_shift_table(grid)
-    except ConstraintError as exc:
+    except ValueError as exc:
         dim = getattr(exc, "dimension", None)
         path = f"shifts[{dim}]" if dim is not None else "shifts"
         raise ConfigError(path, str(exc)) from exc
-    except DimensionMismatchError as exc:
-        raise ConfigError("shifts", str(exc)) from exc
 
 
 def initial_state(config: WalkConfig) -> WalkState:
@@ -356,22 +369,13 @@ def initial_state(config: WalkConfig) -> WalkState:
             config.d, config.n, entries,
             normalize=config.normalize, norm_tol=config.tolerances.norm,
         )
-    except NormalizationError as exc:
-        raise ConfigError("initial", str(exc)) from exc
-    except (ConstraintError, DimensionMismatchError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("initial", str(exc)) from exc
 
 
 def build_instance(config: WalkConfig) -> WalkInstance:
-    coin = build_coin(config)
-    shifts = build_shifts(config)
-    state = initial_state(config)
-    try:
-        return WalkInstance(
-            coin=coin, shifts=shifts, initial=state, tolerances=config.tolerances
-        )
-    except (ConstraintError, DimensionMismatchError, NormalizationError, ValueError) as exc:
-        raise ConfigError("<config>", str(exc)) from exc
+    """The config's walk instance; built on first use, then shared."""
+    return config.instance
 
 
 # -- serialization ----------------------------------------------------------

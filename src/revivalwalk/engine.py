@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,27 @@ def evolve(instance: WalkInstance, t: int) -> WalkState:
     return state
 
 
+def trajectory(
+    instance: WalkInstance, max_steps: int, mode: RevivalMode = RevivalMode.EXACT
+) -> Iterator[tuple[int, WalkState, float, float, bool]]:
+    """Yield ``(t, state, fidelity, distance, revived)`` for t = 0 .. max_steps.
+
+    fidelity is |<psi_0|psi_t>| and distance ||psi_t - psi_0||. A step revives
+    when its distance (EXACT) or 1 - fidelity (GLOBAL_PHASE, blind to an
+    overall phase) is within the revival tolerance; t = 0 never does.
+    """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    tol = instance.tolerances.revival
+    initial = state = instance.initial
+    yield 0, state, abs(inner_product(initial, initial)), 0.0, False
+    for t in range(1, max_steps + 1):
+        state = step(state, instance)
+        f = abs(inner_product(initial, state))
+        d = l2_distance(state, initial)
+        yield t, state, f, d, (d if mode is RevivalMode.EXACT else 1.0 - f) <= tol
+
+
 def detect_revival(
     instance: WalkInstance,
     max_steps: int,
@@ -98,35 +120,17 @@ def detect_revival(
 ) -> RevivalReport:
     """Find the first step at which the walk returns to its initial state.
 
-    EXACT mode requires the l2 distance to the initial state to drop below
-    the revival tolerance; GLOBAL_PHASE mode requires 1 - fidelity to,
-    which also accepts returns that differ by an overall phase. The search
-    stops at the first hit; later revivals are multiples of it by unitarity.
+    The search stops at the first revival of :func:`trajectory`; later
+    revivals are multiples of it by unitarity.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    tol = instance.tolerances.revival
-    initial = instance.initial
-    fidelity = [abs(inner_product(initial, initial))]
-    distance = [0.0]
-    period = None
-    state = initial
-    for t in range(1, max_steps + 1):
-        state = step(state, instance)
-        f = abs(inner_product(initial, state))
-        d = l2_distance(state, initial)
+    fidelity, distance, period = [], [], None
+    for t, _, f, d, revived in trajectory(instance, max_steps, mode):
         fidelity.append(f)
         distance.append(d)
-        revived = d <= tol if mode is RevivalMode.EXACT else 1.0 - f <= tol
         if revived:
             period = t
             break
-    return RevivalReport(
-        period=period,
-        fidelity_series=tuple(fidelity),
-        distance_series=tuple(distance),
-        mode=mode,
-    )
+    return RevivalReport(period, tuple(fidelity), tuple(distance), mode)
 
 
 def probability_distribution(state: WalkState) -> dict[Position, float]:

@@ -1,4 +1,4 @@
-"""Small dense complex-matrix helpers: products, unitarity, matrix order."""
+"""Small dense complex-matrix helpers: unitarity, matrix order."""
 
 from __future__ import annotations
 
@@ -14,15 +14,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def matrix_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard complex matrix product with an explicit size check."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"size mismatch: {a.shape} vs {b.shape}")
-    return a @ b
 
 
 def identity_deviation(a: np.ndarray) -> float:

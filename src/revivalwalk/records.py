@@ -14,9 +14,9 @@ import io
 import numpy as np
 
 from .config import WalkConfig, build_coin, build_instance, build_shifts
-from .engine import RevivalMode, step
+from .engine import trajectory
 from .momentum import MomentumPropagator, spectrum_sweep
-from .states import WalkState, inner_product, l2_distance
+from .states import WalkState
 
 
 def _state_dump(state: WalkState) -> list[dict]:
@@ -42,27 +42,13 @@ def run_walk(config: WalkConfig) -> dict:
     Unlike the early-stopping revival search, the record always covers
     t = 0 .. max_steps so trajectories can be plotted past the revival.
     """
-    instance = build_instance(config)
-    tol = config.tolerances.revival
-    state = instance.initial
-    steps = [{"t": 0, "state": _state_dump(state)}]
-    fidelity = [abs(inner_product(instance.initial, state))]
-    distance = [0.0]
-    period = None
-    for t in range(1, config.max_steps + 1):
-        state = step(state, instance)
-        f = abs(inner_product(instance.initial, state))
-        dist = l2_distance(state, instance.initial)
+    steps, fidelity, distance, period = [], [], [], None
+    walk = trajectory(build_instance(config), config.max_steps, config.revival_mode)
+    for t, state, f, dist, revived in walk:
         fidelity.append(f)
         distance.append(dist)
-        if period is None:
-            revived = (
-                dist <= tol
-                if config.revival_mode is RevivalMode.EXACT
-                else 1.0 - f <= tol
-            )
-            if revived:
-                period = t
+        if revived and period is None:
+            period = t
         steps.append({"t": t, "state": _state_dump(state)})
     return {
         "schema_version": 1,

@@ -8,6 +8,7 @@ through the ``tolerances`` block of a walk config).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: Unit-norm check on sparse walk states (l2).
@@ -37,5 +38,5 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("norm", "mat", "phase", "revival"):
             value = getattr(self, name)
-            if not (value > 0.0):
-                raise ValueError(f"tolerance {name!r} must be positive, got {value}")
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"tolerance {name!r} must be positive and finite, got {value}")

@@ -37,7 +37,7 @@ from revivalwalk import (
     spectrum_distance,
     spectrum_sweep,
     stationary_component_check,
-    step,
+    trajectory,
 )
 
 
@@ -56,12 +56,7 @@ def criterion(name, budget=None):
 
 
 def walk_norms(instance, steps):
-    state = instance.initial
-    norms = [state.norm()]
-    for _ in range(steps):
-        state = step(state, instance)
-        norms.append(state.norm())
-    return norms
+    return [state.norm() for _, state, *_ in trajectory(instance, steps)]
 
 
 @pytest.mark.parametrize("which,period", [(1, 2), (2, 3), (3, 3)])

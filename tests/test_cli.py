@@ -159,6 +159,44 @@ def test_missing_config_file_is_a_config_error():
     assert proc.returncode == 2
 
 
+def test_unreadable_config_path_is_a_config_error(tmp_path):
+    proc = run_cli("walk-run", "--config", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_is_an_output_error(table1_path, tmp_path, flag):
+    target = tmp_path / "missing" / "file"
+    proc = run_cli("walk-run", "--config", table1_path, flag, str(target))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("output error:")
+    assert str(target) in proc.stderr
+
+
+def test_walk_period_with_zero_steps_reports_no_period(tmp_path):
+    config = json.loads(golden_config_text(1))
+    config["max_steps"] = 0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("walk-period", "--config", str(path))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["period"] is None
+    assert record["fidelity_series"] == [pytest.approx(1.0, abs=1e-12)]
+    assert record["distance_series"] == [0.0]
+
+
+def test_infinite_revival_tolerance_is_a_config_error(tmp_path):
+    config = json.loads(golden_config_text(1))
+    config["tolerances"] = {"revival": "X"}
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(config).replace('"X"', "1e309"))
+    proc = run_cli("walk-period", "--config", str(path))
+    assert proc.returncode == 2
+    assert "tolerances.revival" in proc.stderr
+
+
 def test_console_entry_point_help():
     proc = run_cli("--help")
     assert proc.returncode == 0

@@ -15,7 +15,6 @@ from revivalwalk import (
     build_partial_cycle_coin,
     complete_phases,
     cyclic_power_closed_form,
-    matrix_multiply,
     matrix_order,
     phase_sum_residual,
     random_cyclic_phases,
@@ -120,7 +119,7 @@ def test_cyclic_coin_three_state_golden():
 def test_cyclic_coin_swap_squares_to_identity():
     coin = build_cyclic_coin([0.0, 0.0])
     np.testing.assert_array_equal(coin.matrix, np.array([[0, 1], [1, 0]], dtype=complex))
-    np.testing.assert_array_equal(matrix_multiply(coin.matrix, coin.matrix), np.eye(2))
+    np.testing.assert_array_equal(coin.matrix @ coin.matrix, np.eye(2))
 
 
 def test_cyclic_coin_phase_sum_violation_reports_residual():
@@ -200,7 +199,7 @@ def test_closed_form_power_input_validation():
 def test_multiplying_coin_by_its_last_closed_form_power_gives_identity():
     rng = np.random.default_rng(21)
     coin = build_cyclic_coin(random_cyclic_phases(6, rng))
-    product = matrix_multiply(coin.matrix, cyclic_power_closed_form(coin, 5))
+    product = coin.matrix @ cyclic_power_closed_form(coin, 5)
     np.testing.assert_allclose(product, np.eye(6), atol=1e-10)
 
 

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revivalwalk import (
     CoinKind,
+    CoinSpec,
     ConfigError,
+    InitialEntry,
     RevivalMode,
     Tolerances,
+    WalkConfig,
     build_coin,
     build_instance,
     build_shifts,
@@ -244,6 +248,22 @@ def test_tolerance_overrides():
         parse_config(minimal_config(tolerances={"norm": -1.0}))
 
 
+@pytest.mark.parametrize("literal", ["1e309", "-1e309", "NaN"])
+def test_non_finite_tolerances_rejected_with_field_path(literal):
+    text = minimal_config(tolerances={"revival": "X"}).replace('"X"', literal)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.field == "tolerances.revival"
+    with pytest.raises(ValueError):
+        Tolerances(revival=float(literal))
+
+
+def test_parsed_config_builds_its_instance_once():
+    config = parse_config(minimal_config())
+    assert build_instance(config) is build_instance(config)
+    assert build_instance(config) is config.instance
+
+
 def test_phase_tolerance_override_reaches_coin_construction():
     slightly_off = minimal_config(coin={"kind": "cyclic", "phases": [1e-6, 0.0]})
     with pytest.raises(ConfigError):
@@ -274,3 +294,63 @@ def test_round_trip_identity_preserves_usual_marker_and_floats():
     again = parse_config(serialize_config(config))
     assert again == config
     assert again.coin.phases == config.coin.phases
+
+
+def _zero_sum(draw, n: int, elements) -> tuple:
+    head = draw(st.lists(elements, min_size=n - 1, max_size=n - 1))
+    return (*head, -sum(head))
+
+
+@st.composite
+def walk_configs(draw):
+    """Valid configs over every coin kind but custom, with random run controls."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["cyclic", "partial_cycle", "general_1d"]))
+    n = 2 if kind == "general_1d" else draw(st.integers(3 if kind == "partial_cycle" else 2, 4))
+    angle = st.floats(-10.0, 10.0)
+    if kind == "general_1d":
+        half_turn = st.floats(0.0, math.pi, exclude_max=True)
+        coin = CoinSpec(
+            kind=kind, theta=draw(st.floats(0.0, 2 * math.pi, exclude_max=True)),
+            phi1=draw(half_turn), phi2=draw(half_turn),
+        )
+    else:
+        r = draw(st.integers(2, n)) if kind == "partial_cycle" else None
+        phases = _zero_sum(draw, r or n, angle)
+        coin = CoinSpec(kind=kind, phases=phases, r=r)
+    if draw(st.booleans()):
+        shifts = "usual"
+    else:
+        rows = [list(_zero_sum(draw, n, st.integers(-3, 3))) for _ in range(d)]
+        for row in rows:
+            if not any(row):
+                row[0], row[1] = 1, -1
+        shifts = tuple(tuple(row) for row in rows)
+    entry = st.builds(
+        InitialEntry,
+        position=st.tuples(*[st.integers(-5, 5)] * d),
+        coin=st.integers(1, n),
+        amp_re=st.floats(0.1, 1.0),
+        amp_im=st.floats(-1.0, 1.0),
+    )
+    tolerances = Tolerances(
+        norm=draw(st.floats(1e-12, 1e-3)),
+        mat=draw(st.floats(1e-12, 1e-3)),
+        phase=draw(st.floats(1e-9, 1e-3)),
+        revival=draw(st.floats(1e-15, 1e-3)),
+    )
+    return WalkConfig(
+        d=d, n=n, coin=coin, shifts=shifts,
+        initial=tuple(draw(st.lists(entry, min_size=1, max_size=4))),
+        normalize=True,
+        max_steps=draw(st.integers(0, 50)),
+        tolerances=tolerances,
+        revival_mode=draw(st.sampled_from(list(RevivalMode))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=walk_configs())
+def test_round_trip_identity_on_generated_configs(config):
+    assert parse_config(serialize_config(config)) == config

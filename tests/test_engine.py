@@ -24,6 +24,7 @@ from revivalwalk import (
     random_cyclic_phases,
     stationary_component_check,
     step,
+    trajectory,
     usual_shift_choice,
 )
 
@@ -201,7 +202,26 @@ def test_detect_revival_global_phase_mode():
 
 def test_detect_revival_rejects_bad_budget():
     with pytest.raises(ValueError):
-        detect_revival(two_state_instance(), 0)
+        detect_revival(two_state_instance(), -1)
+
+
+def test_detect_revival_zero_budget_keeps_only_the_initial_state():
+    report = detect_revival(two_state_instance(), 0)
+    assert report.period is None
+    assert report.distance_series == (0.0,)
+    assert report.fidelity_series == (pytest.approx(1.0, abs=1e-12),)
+
+
+def test_trajectory_yields_every_step_and_flags_each_return():
+    instance = two_state_instance()
+    rows = list(trajectory(instance, 4))
+    assert [row[0] for row in rows] == [0, 1, 2, 3, 4]
+    assert rows[0][1] is instance.initial
+    assert [row[4] for row in rows] == [False, False, True, False, True]
+    for t, state, fidelity, distance, _ in rows:
+        assert l2_distance(state, evolve(instance, t)) == 0.0
+        assert fidelity == abs(inner_product(instance.initial, state))
+        assert distance == l2_distance(state, instance.initial)
 
 
 def test_probability_distribution_two_state_after_one_step():

@@ -1,43 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import random_unitary
 from revivalwalk import (
-    DimensionMismatchError,
     NonUnitaryError,
     is_unitary,
-    matrix_multiply,
     matrix_order,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-
-
-def test_multiply_by_identity_both_sides():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    eye = np.eye(4)
-    np.testing.assert_array_equal(matrix_multiply(a, eye), a)
-    np.testing.assert_array_equal(matrix_multiply(eye, a), a)
-
-
-def test_multiply_size_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        matrix_multiply(np.eye(2), np.eye(3))
-
-
-def test_multiply_rejects_non_square():
-    with pytest.raises(DimensionMismatchError):
-        matrix_multiply(np.ones((2, 3)), np.ones((3, 2)))
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_multiply_associative_on_random_unitaries(n):
-    rng = np.random.default_rng(n)
-    a, b, c = (random_unitary(n, rng) for _ in range(3))
-    left = matrix_multiply(matrix_multiply(a, b), c)
-    right = matrix_multiply(a, matrix_multiply(b, c))
-    assert np.abs(left - right).max() <= 1e-10
 
 
 def test_is_unitary_identity():

@@ -1,12 +1,23 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import random_sparse_state, random_zero_sum_row
 from revivalwalk import (
+    CoinSpec,
+    InitialEntry,
+    RevivalMode,
+    WalkConfig,
+    build_instance,
+    detect_revival,
+    evolve,
     golden_config,
     parse_config,
     probability_csv,
+    random_cyclic_phases,
     run_spectrum,
     run_walk,
 )
@@ -41,6 +52,49 @@ def test_run_walk_record_covers_every_step_past_the_revival():
     assert len(record["fidelity_series"]) == 7
     # states keep being dumped after the revival
     assert record["steps"][6]["state"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(2, 6),
+    max_steps=st.integers(0, 12),
+    mode=st.sampled_from(list(RevivalMode)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_walk_and_detect_revival_read_one_trajectory(d, n, max_steps, mode, seed):
+    rng = np.random.default_rng(seed)
+    initial = random_sparse_state(d, n, rng)
+    config = WalkConfig(
+        d=d,
+        n=n,
+        coin=CoinSpec(kind="cyclic", phases=tuple(random_cyclic_phases(n, rng))),
+        shifts=tuple(tuple(random_zero_sum_row(n, rng)) for _ in range(d)),
+        initial=tuple(
+            InitialEntry(pos, j + 1, float(amp.real), float(amp.imag))
+            for pos, vec in initial.items()
+            for j, amp in enumerate(vec)
+            if amp != 0
+        ),
+        max_steps=max_steps,
+        revival_mode=mode,
+    )
+    instance = build_instance(config)
+    record = run_walk(config)
+    report = detect_revival(instance, max_steps, mode)
+    assert record["period"] == report.period
+    shared = len(report.fidelity_series)
+    assert record["fidelity_series"][:shared] == list(report.fidelity_series)
+    assert record["distance_series"][:shared] == list(report.distance_series)
+    for entry in record["steps"]:
+        expected = evolve(instance, entry["t"])
+        dumped = {
+            (tuple(row["position"]), row["coin"] - 1): complex(row["re"], row["im"])
+            for row in entry["state"]
+        }
+        support = {(pos, j) for pos, vec in expected.items() for j in range(n) if vec[j] != 0}
+        for pos, j in support | set(dumped):
+            assert abs(dumped.get((pos, j), 0.0) - expected.amplitude(pos, j)) <= 1e-12
 
 
 def test_run_walk_golden_plane_walk():
