@@ -25,11 +25,8 @@ from .config import (
     CoinSpec,
     InitialEntry,
     WalkConfig,
-    build_coin,
     build_instance,
-    build_shifts,
     config_to_dict,
-    initial_state,
     load_config,
     parse_config,
     parse_phase,
@@ -117,14 +114,12 @@ __all__ = [
     "WindowTooSmallError",
     "ZeroSumError",
     "apply_shift",
-    "build_coin",
     "build_custom_coin",
     "build_cyclic_coin",
     "build_general_coin_1d",
     "build_instance",
     "build_partial_cycle_coin",
     "build_shift_table",
-    "build_shifts",
     "characteristic_eigenvalues",
     "complete_phases",
     "config_to_dict",
@@ -135,7 +130,6 @@ __all__ = [
     "evaluate_propagator",
     "evolve",
     "golden_config",
-    "initial_state",
     "inner_product",
     "is_unitary",
     "l2_distance",

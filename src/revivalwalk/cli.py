@@ -10,8 +10,9 @@ Subcommands::
     reproduce-table  replay a bundled golden walk against its frozen table
 
 Exit codes: 0 success (or PASS), 1 golden-table FAIL, 2 config or argument
-error, 3 output error (--out or --csv cannot be written). JSON records go to
---out when given, else stdout.
+error (including a walk whose initial positions lead it out of the signed
+64-bit coordinate range), 3 output error (--out or --csv cannot be written).
+JSON records go to --out when given, else stdout.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, build_coin, build_instance, load_config
+from .config import ConfigError, build_instance, load_config
 from .engine import detect_revival
+from .errors import CoordinateOverflowError
 from .golden import reproduce_table
 from .linalg import matrix_order
 from .records import probability_csv, run_spectrum, run_walk
@@ -44,8 +46,7 @@ def _emit(record: dict, out: str | None) -> None:
 
 
 def _cmd_coin_build(args) -> int:
-    config = load_config(args.config)
-    coin = build_coin(config)
+    coin = load_config(args.config).instance.coin
     record = {
         "schema_version": 1,
         "kind": coin.kind.value,
@@ -64,8 +65,7 @@ def _cmd_coin_build(args) -> int:
 
 def _cmd_coin_order(args) -> int:
     config = load_config(args.config)
-    coin = build_coin(config)
-    order = matrix_order(coin.matrix, args.max_order, config.tolerances.mat)
+    order = matrix_order(config.instance.coin.matrix, args.max_order, config.tolerances.mat)
     _emit(
         {
             "schema_version": 1,
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, CoordinateOverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # config files are read by load_config, so this is output

@@ -105,6 +105,21 @@ def _check_phase_sum(phases: Sequence[float], tol: float = TOL_PHASE) -> None:
         raise PhaseSumError(residual, tol)
 
 
+def _cycle_coin(
+    n: int, phases: Sequence[float], tol: float, kind: CoinKind, cycle_length: int | None = None
+) -> CoinMatrix:
+    """Slot j-1 feeds slot j (mod r = len(phases)) with weight e^{i*phases[j]}; r.. are fixed."""
+    _check_phase_sum(phases, tol)
+    wrapped = tuple(wrap_phase(t) for t in phases)
+    r = len(wrapped)
+    m = np.zeros((n, n), dtype=np.complex128)
+    for j in range(r):
+        m[j, (j - 1) % r] = np.exp(1j * wrapped[j])
+    for j in range(r, n):
+        m[j, j] = 1.0
+    return CoinMatrix(matrix=m, kind=kind, phases=wrapped, cycle_length=cycle_length)
+
+
 def build_cyclic_coin(phases: Sequence[float], tol: float = TOL_PHASE) -> CoinMatrix:
     """Cyclic phase coin: slot j feeds slot j+1 (mod n) with weight e^{i*theta}.
 
@@ -116,13 +131,7 @@ def build_cyclic_coin(phases: Sequence[float], tol: float = TOL_PHASE) -> CoinMa
     n = len(phases)
     if n < 2:
         raise DimensionMismatchError(f"cyclic coins need n >= 2, got {n}")
-    _check_phase_sum(phases, tol)
-    wrapped = tuple(wrap_phase(t) for t in phases)
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[0, n - 1] = np.exp(1j * wrapped[0])
-    for j in range(1, n):
-        m[j, j - 1] = np.exp(1j * wrapped[j])
-    return CoinMatrix(matrix=m, kind=CoinKind.CYCLIC, phases=wrapped)
+    return _cycle_coin(n, phases, tol, CoinKind.CYCLIC)
 
 
 def build_partial_cycle_coin(
@@ -138,14 +147,7 @@ def build_partial_cycle_coin(
         raise DimensionMismatchError(f"need n >= r >= 2, got n={n}, r={r}")
     if len(phases) != r:
         raise DimensionMismatchError(f"expected {r} phases, got {len(phases)}")
-    _check_phase_sum(phases, tol)
-    wrapped = tuple(wrap_phase(t) for t in phases)
-    m = np.eye(n, dtype=np.complex128)
-    m[:r, :r] = 0.0
-    m[0, r - 1] = np.exp(1j * wrapped[0])
-    for j in range(1, r):
-        m[j, j - 1] = np.exp(1j * wrapped[j])
-    return CoinMatrix(matrix=m, kind=CoinKind.PARTIAL_CYCLE, phases=wrapped, cycle_length=r)
+    return _cycle_coin(n, phases, tol, CoinKind.PARTIAL_CYCLE, cycle_length=r)
 
 
 def build_general_coin_1d(theta: float, phi1: float, phi2: float) -> CoinMatrix:

@@ -18,7 +18,7 @@ import json
 import math
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import Union
 
@@ -33,7 +33,7 @@ from .coins import (
 from .engine import RevivalMode, WalkInstance
 from .errors import ConfigError, ConstraintError, DimensionMismatchError
 from .shifts import ShiftTable, build_shift_table, usual_shift_choice
-from .states import WalkState
+from .states import COORD_LIMIT, WalkState
 from .tolerances import Tolerances
 
 SCHEMA_VERSION = 1
@@ -100,11 +100,22 @@ class WalkConfig:
     @cached_property
     def instance(self) -> WalkInstance:
         """The walk this config describes, built (and so validated) once."""
-        coin, shifts, state = build_coin(self), build_shifts(self), initial_state(self)
+        coin, shifts, state = _build_coin(self), _build_shifts(self), _initial_state(self)
         try:
             return WalkInstance(coin=coin, shifts=shifts, initial=state, tolerances=self.tolerances)
         except ValueError as exc:
             raise ConfigError("<config>", str(exc)) from exc
+
+
+def _field_names(cls) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls))
+
+
+# The keys a config file may use are the fields of the dataclasses above.
+_CONFIG_KEYS = _field_names(WalkConfig) | {"schema_version"}
+_COIN_KEYS = _field_names(CoinSpec)
+_ENTRY_KEYS = _field_names(InitialEntry)
+_TOLERANCE_KEYS = _field_names(Tolerances)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -116,11 +127,13 @@ def _require(obj: Mapping, key: str, path: str):
     return obj[key]
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _as_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(path, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -136,7 +149,7 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-def _check_keys(obj: Mapping, allowed: set[str], path: str) -> None:
+def _check_keys(obj: Mapping, allowed: frozenset[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}{key}", "unknown field")
@@ -145,9 +158,7 @@ def _check_keys(obj: Mapping, allowed: set[str], path: str) -> None:
 def _parse_coin_spec(obj, n: int) -> CoinSpec:
     if not isinstance(obj, Mapping):
         raise ConfigError("coin", "expected an object")
-    _check_keys(
-        obj, {"kind", "phases", "r", "theta", "phi1", "phi2", "custom_matrix"}, "coin."
-    )
+    _check_keys(obj, _COIN_KEYS, "coin.")
     kind = _require(obj, "kind", "coin.")
     if kind not in {k.value for k in CoinKind}:
         raise ConfigError("coin.kind", f"unknown coin kind {kind!r}")
@@ -219,12 +230,13 @@ def _parse_initial(obj, d: int, n: int) -> tuple[InitialEntry, ...]:
         path = f"initial[{i}]"
         if not isinstance(item, Mapping):
             raise ConfigError(path, "expected an object")
-        _check_keys(item, {"position", "coin", "amp_re", "amp_im"}, f"{path}.")
+        _check_keys(item, _ENTRY_KEYS, f"{path}.")
         pos_raw = _require(item, "position", f"{path}.")
         if not isinstance(pos_raw, Sequence) or isinstance(pos_raw, str) or len(pos_raw) != d:
             raise ConfigError(f"{path}.position", f"expected {d} integer coordinate(s)")
         position = tuple(
-            _as_int(c, f"{path}.position[{j}]") for j, c in enumerate(pos_raw)
+            _as_int(c, f"{path}.position[{j}]", -COORD_LIMIT, COORD_LIMIT)
+            for j, c in enumerate(pos_raw)
         )
         coin = _as_int(_require(item, "coin", f"{path}."), f"{path}.coin")
         if not 1 <= coin <= n:
@@ -235,18 +247,34 @@ def _parse_initial(obj, d: int, n: int) -> tuple[InitialEntry, ...]:
     return tuple(entries)
 
 
-def _parse_tolerances(obj) -> Tolerances:
+def _parse_tolerances(obj, path: str) -> Tolerances:
     if not isinstance(obj, Mapping):
-        raise ConfigError("tolerances", "expected an object")
-    _check_keys(obj, {"norm", "mat", "phase", "revival"}, "tolerances.")
+        raise ConfigError(path, "expected an object")
+    _check_keys(obj, _TOLERANCE_KEYS, f"{path}.")
     kwargs = {}
     for key, value in obj.items():
-        kwargs[key] = _as_number(value, f"tolerances.{key}")
+        kwargs[key] = _as_number(value, f"{path}.{key}")
         try:
             Tolerances(**{key: kwargs[key]})
         except ValueError as exc:
-            raise ConfigError(f"tolerances.{key}", str(exc)) from exc
+            raise ConfigError(f"{path}.{key}", str(exc)) from exc
     return Tolerances(**kwargs)
+
+
+def _parse_mode(value, path: str) -> RevivalMode:
+    if value not in {m.value for m in RevivalMode}:
+        raise ConfigError(path, f"expected 'exact' or 'global_phase', got {value!r}")
+    return RevivalMode(value)
+
+
+# Parsers of the optional top-level fields; an absent one takes its WalkConfig default.
+_OPTIONAL_FIELDS = {
+    "normalize": _as_bool,
+    "max_steps": lambda value, path: _as_int(value, path, minimum=0),
+    "tolerances": _parse_tolerances,
+    "revival_mode": _parse_mode,
+    "seed": lambda value, path: _as_int(value, path, minimum=0, maximum=2**64 - 1),
+}
 
 
 def parse_config(text: Union[bytes, str]) -> WalkConfig:
@@ -267,14 +295,7 @@ def parse_config(text: Union[bytes, str]) -> WalkConfig:
         raise ConfigError("<config>", f"invalid JSON: {exc}") from exc
     if not isinstance(obj, Mapping):
         raise ConfigError("<config>", "top level must be a JSON object")
-    _check_keys(
-        obj,
-        {
-            "schema_version", "d", "n", "coin", "shifts", "initial", "normalize",
-            "max_steps", "tolerances", "revival_mode", "seed",
-        },
-        "",
-    )
+    _check_keys(obj, _CONFIG_KEYS, "")
     if "schema_version" in obj and obj["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             "schema_version", f"unsupported version {obj['schema_version']!r}"
@@ -284,20 +305,10 @@ def parse_config(text: Union[bytes, str]) -> WalkConfig:
     coin = _parse_coin_spec(_require(obj, "coin", ""), n)
     shifts = _parse_shifts(_require(obj, "shifts", ""), d, n)
     initial = _parse_initial(_require(obj, "initial", ""), d, n)
-    normalize = _as_bool(obj.get("normalize", False), "normalize")
-    max_steps = _as_int(obj.get("max_steps", 16), "max_steps", minimum=0)
-    tolerances = _parse_tolerances(obj["tolerances"]) if "tolerances" in obj else Tolerances()
-    mode_raw = obj.get("revival_mode", "exact")
-    if mode_raw not in {m.value for m in RevivalMode}:
-        raise ConfigError("revival_mode", f"expected 'exact' or 'global_phase', got {mode_raw!r}")
-    seed = _as_int(obj.get("seed", 0), "seed", minimum=0)
-    if seed >= 2**64:
-        raise ConfigError("seed", "seed must fit in 64 bits")
-    config = WalkConfig(
-        d=d, n=n, coin=coin, shifts=shifts, initial=initial, normalize=normalize,
-        max_steps=max_steps, tolerances=tolerances,
-        revival_mode=RevivalMode(mode_raw), seed=seed,
-    )
+    optional = {
+        key: parse(obj[key], key) for key, parse in _OPTIONAL_FIELDS.items() if key in obj
+    }
+    config = WalkConfig(d=d, n=n, coin=coin, shifts=shifts, initial=initial, **optional)
     config.instance  # deep validation: violations surface with config field paths
     return config
 
@@ -314,7 +325,7 @@ def load_config(path) -> WalkConfig:
 # -- construction -----------------------------------------------------------
 
 
-def build_coin(config: WalkConfig) -> CoinMatrix:
+def _build_coin(config: WalkConfig) -> CoinMatrix:
     spec = config.coin
     try:
         if spec.kind == CoinKind.CYCLIC.value:
@@ -347,7 +358,7 @@ def build_coin(config: WalkConfig) -> CoinMatrix:
         raise ConfigError(path, str(exc)) from exc
 
 
-def build_shifts(config: WalkConfig) -> ShiftTable:
+def _build_shifts(config: WalkConfig) -> ShiftTable:
     if config.shifts == "usual":
         grid = [usual_shift_choice(config.n)] * config.d
     else:
@@ -360,7 +371,7 @@ def build_shifts(config: WalkConfig) -> ShiftTable:
         raise ConfigError(path, str(exc)) from exc
 
 
-def initial_state(config: WalkConfig) -> WalkState:
+def _initial_state(config: WalkConfig) -> WalkState:
     entries = [
         (e.position, e.coin - 1, complex(e.amp_re, e.amp_im)) for e in config.initial
     ]
@@ -381,47 +392,22 @@ def build_instance(config: WalkConfig) -> WalkInstance:
 # -- serialization ----------------------------------------------------------
 
 
+def _to_json(value):
+    """A config dataclass as plain JSON data: None fields are omitted."""
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: _to_json(v) for name, v in items if v is not None}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, RevivalMode):
+        return value.value
+    return value
+
+
 def config_to_dict(config: WalkConfig) -> dict:
-    coin: dict = {"kind": config.coin.kind}
-    if config.coin.phases is not None:
-        coin["phases"] = list(config.coin.phases)
-    if config.coin.r is not None:
-        coin["r"] = config.coin.r
-    for name in ("theta", "phi1", "phi2"):
-        value = getattr(config.coin, name)
-        if value is not None:
-            coin[name] = value
-    if config.coin.custom_matrix is not None:
-        coin["custom_matrix"] = [
-            [[cell.real, cell.imag] for cell in row] for row in config.coin.custom_matrix
-        ]
-    shifts = config.shifts if config.shifts == "usual" else [list(r) for r in config.shifts]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "d": config.d,
-        "n": config.n,
-        "coin": coin,
-        "shifts": shifts,
-        "initial": [
-            {
-                "position": list(e.position),
-                "coin": e.coin,
-                "amp_re": e.amp_re,
-                "amp_im": e.amp_im,
-            }
-            for e in config.initial
-        ],
-        "normalize": config.normalize,
-        "max_steps": config.max_steps,
-        "tolerances": {
-            "norm": config.tolerances.norm,
-            "mat": config.tolerances.mat,
-            "phase": config.tolerances.phase,
-            "revival": config.tolerances.revival,
-        },
-        "revival_mode": config.revival_mode.value,
-        "seed": config.seed,
-    }
+    return {"schema_version": SCHEMA_VERSION, **_to_json(config)}
 
 
 def serialize_config(config: WalkConfig) -> str:

@@ -13,7 +13,7 @@ import io
 
 import numpy as np
 
-from .config import WalkConfig, build_coin, build_instance, build_shifts
+from .config import WalkConfig, build_instance
 from .engine import trajectory
 from .momentum import MomentumPropagator, spectrum_sweep
 from .states import WalkState
@@ -85,7 +85,8 @@ def probability_csv(record: dict) -> str:
 
 def run_spectrum(config: WalkConfig, samples: int, seed: int | None = None) -> dict:
     """Sweep the momentum propagator of a config across sampled momenta."""
-    prop = MomentumPropagator(coin=build_coin(config), shifts=build_shifts(config))
+    instance = config.instance
+    prop = MomentumPropagator(coin=instance.coin, shifts=instance.shifts)
     report = spectrum_sweep(
         prop, samples, seed=config.seed if seed is None else seed,
         tol=config.tolerances.mat,

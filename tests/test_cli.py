@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import revivalwalk.config
+from revivalwalk import cli
 from revivalwalk.golden import golden_config_text
 
 
@@ -195,6 +197,49 @@ def test_infinite_revival_tolerance_is_a_config_error(tmp_path):
     proc = run_cli("walk-period", "--config", str(path))
     assert proc.returncode == 2
     assert "tolerances.revival" in proc.stderr
+
+
+def _swap_walk_from(tmp_path, coordinate):
+    config = {
+        "d": 1,
+        "n": 2,
+        "coin": {"kind": "cyclic", "phases": [0, 0]},
+        "shifts": [[-1, 1]],
+        "initial": [{"position": [coordinate], "coin": 1, "amp_re": 1.0, "amp_im": 0.0}],
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_coordinate_beyond_64_bits_is_a_config_error(tmp_path):
+    proc = run_cli("walk-period", "--config", _swap_walk_from(tmp_path, 2**70))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: initial[0].position[0]:")
+
+
+def test_walk_leaving_the_coordinate_range_exits_2_in_one_line(tmp_path):
+    proc = run_cli("walk-period", "--config", _swap_walk_from(tmp_path, 2**63 - 1))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "outside the supported coordinate range" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["spectrum", "coin-build", "coin-order"])
+def test_command_builds_the_coin_once(table2_path, tmp_path, monkeypatch, command):
+    calls = []
+    build = revivalwalk.config._build_coin
+
+    def counting_build(config):
+        calls.append(config)
+        return build(config)
+
+    monkeypatch.setattr(revivalwalk.config, "_build_coin", counting_build)
+    out = tmp_path / "record.json"
+    assert cli.main([command, "--config", table2_path, "--out", str(out)]) == 0
+    assert len(calls) == 1
 
 
 def test_console_entry_point_help():

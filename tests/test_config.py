@@ -13,9 +13,7 @@ from revivalwalk import (
     RevivalMode,
     Tolerances,
     WalkConfig,
-    build_coin,
     build_instance,
-    build_shifts,
     golden_config,
     parse_config,
     parse_phase,
@@ -134,8 +132,18 @@ def test_unknown_fields_rejected():
         parse_config(json.dumps(obj))
     assert info.value.field == "walk_speed"
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         parse_config(minimal_config(coin={"kind": "cyclic", "phases": [0, 0], "spin": 1}))
+    assert info.value.field == "coin.spin"
+
+    entry = {"position": [0], "coin": 1, "amp_re": 1.0, "amp_im": 0.0, "spin": 1}
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_config(initial=[entry]))
+    assert info.value.field == "initial[0].spin"
+
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_config(tolerances={"norm": 1e-10, "fuzz": 1.0}))
+    assert info.value.field == "tolerances.fuzz"
 
 
 def test_unknown_coin_kind():
@@ -164,6 +172,20 @@ def test_coin_labels_are_one_based():
     config = parse_config(minimal_config())
     state = build_instance(config).initial
     assert state.amplitude((0,), 0) == 1.0 + 0j
+
+
+@pytest.mark.parametrize("coordinate", [2**63, -(2**63), 2**70])
+def test_out_of_range_coordinate_rejected_with_field_path(coordinate):
+    entry = {"position": [0, coordinate], "coin": 1, "amp_re": 1.0, "amp_im": 0.0}
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_config(d=2, shifts=[[-1, 1], [1, -1]], initial=[entry]))
+    assert info.value.field == "initial[0].position[1]"
+
+
+def test_coordinate_at_the_limit_parses():
+    entry = {"position": [2**63 - 1], "coin": 1, "amp_re": 1.0, "amp_im": 0.0}
+    config = parse_config(minimal_config(initial=[entry]))
+    assert config.initial[0].position == (2**63 - 1,)
 
 
 def test_position_length_checked():
@@ -199,7 +221,7 @@ def test_usual_shifts_expand_per_dimension():
         initial=[{"position": [0, 0], "coin": 1, "amp_re": 1.0, "amp_im": 0.0}],
     )
     config = parse_config(text)
-    table = build_shifts(config)
+    table = config.instance.shifts
     assert table.displacements == tuple([tuple(usual_shift_choice(3))] * 2)
     assert config.shifts == "usual"
 
@@ -208,7 +230,7 @@ def test_general_coin_config():
     text = minimal_config(
         coin={"kind": "general_1d", "theta": "pi/4", "phi1": 0, "phi2": 0}
     )
-    coin = build_coin(parse_config(text))
+    coin = parse_config(text).instance.coin
     assert coin.kind is CoinKind.GENERAL_1D
     s = 1 / math.sqrt(2)
     np.testing.assert_allclose(coin.matrix, [[s, s], [s, -s]], atol=1e-15)
@@ -218,7 +240,7 @@ def test_custom_coin_config_checks_unitarity():
     good = minimal_config(
         coin={"kind": "custom", "custom_matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
     )
-    coin = build_coin(parse_config(good))
+    coin = parse_config(good).instance.coin
     assert coin.kind is CoinKind.CUSTOM
     bad = minimal_config(
         coin={"kind": "custom", "custom_matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}
@@ -234,7 +256,7 @@ def test_partial_cycle_config():
         coin={"kind": "partial_cycle", "r": 2, "phases": [0.4, -0.4]},
         shifts=[[-1, 1, 0, 0]],
     )
-    coin = build_coin(parse_config(text))
+    coin = parse_config(text).instance.coin
     assert coin.kind is CoinKind.PARTIAL_CYCLE
     assert coin.cycle_length == 2
 
@@ -271,7 +293,7 @@ def test_phase_tolerance_override_reaches_coin_construction():
     loose = json.loads(slightly_off)
     loose["tolerances"] = {"phase": 1e-4}
     config = parse_config(json.dumps(loose))
-    assert build_coin(config).kind is CoinKind.CYCLIC
+    assert config.instance.coin.kind is CoinKind.CYCLIC
 
 
 def test_round_trip_identity_on_golden_configs():
@@ -294,6 +316,77 @@ def test_round_trip_identity_preserves_usual_marker_and_floats():
     again = parse_config(serialize_config(config))
     assert again == config
     assert again.coin.phases == config.coin.phases
+
+
+CANONICAL_CUSTOM_TEXT = """{
+  "schema_version": 1,
+  "d": 2,
+  "n": 2,
+  "coin": {
+    "kind": "custom",
+    "custom_matrix": [
+      [
+        [
+          0.6,
+          0.0
+        ],
+        [
+          0.0,
+          0.8
+        ]
+      ],
+      [
+        [
+          0.0,
+          0.8
+        ],
+        [
+          0.6,
+          0.0
+        ]
+      ]
+    ]
+  },
+  "shifts": [
+    [
+      -1,
+      1
+    ],
+    [
+      2,
+      -2
+    ]
+  ],
+  "initial": [
+    {
+      "position": [
+        0,
+        -3
+      ],
+      "coin": 2,
+      "amp_re": 0.6,
+      "amp_im": -0.8
+    }
+  ],
+  "normalize": true,
+  "max_steps": 7,
+  "tolerances": {
+    "norm": 1e-11,
+    "mat": 1e-09,
+    "phase": 1e-08,
+    "revival": 1e-07
+  },
+  "revival_mode": "global_phase",
+  "seed": 42
+}
+"""
+
+
+def test_serialize_is_a_fixed_point_on_canonical_text():
+    config = parse_config(CANONICAL_CUSTOM_TEXT)
+    assert config.coin.custom_matrix[0] == (0.6 + 0j, 0.8j)
+    assert config.tolerances == Tolerances(norm=1e-11, mat=1e-9, phase=1e-8, revival=1e-7)
+    assert serialize_config(config) == CANONICAL_CUSTOM_TEXT
 
 
 def _zero_sum(draw, n: int, elements) -> tuple:
