@@ -11,7 +11,8 @@ Subcommands::
 
 Exit codes: 0 success (or PASS), 1 golden-table FAIL, 2 config or argument
 error (including a walk whose initial positions lead it out of the signed
-64-bit coordinate range), 3 output error (--out or --csv cannot be written).
+64-bit coordinate range, and a spectrum sweep over its memory budget),
+3 output error (--out or --csv cannot be written).
 JSON records go to --out when given, else stdout.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .config import ConfigError, build_instance, load_config
 from .engine import detect_revival
-from .errors import CoordinateOverflowError
+from .errors import CoordinateOverflowError, OracleTooLargeError
 from .golden import reproduce_table
 from .linalg import matrix_order
 from .records import probability_csv, run_spectrum, run_walk
@@ -169,6 +170,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, CoordinateOverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OracleTooLargeError as exc:  # e.g. spectrum --samples beyond the sweep's budget
+        print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # config files are read by load_config, so this is output
         print(f"output error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
@@ -37,16 +38,13 @@ from .states import COORD_LIMIT, WalkState
 from .tolerances import Tolerances
 
 SCHEMA_VERSION = 1
+_FLOAT_MAX = sys.float_info.max
 
 _PI_PATTERN = re.compile(r"^\s*(-)?\s*pi\s*(?:\*\s*(-?\d+))?\s*(?:/\s*(\d+))?\s*$")
 
 
 def parse_phase(value, field_path: str = "phase") -> float:
-    """A literal radian number, or a ``pi*<num>/<den>`` string parsed exactly."""
-    if isinstance(value, bool):
-        raise ConfigError(field_path, f"expected an angle, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
+    """A finite literal radian number, or a ``pi*<num>/<den>`` string parsed exactly."""
     if isinstance(value, str):
         m = _PI_PATTERN.match(value)
         if m is None:
@@ -55,12 +53,17 @@ def parse_phase(value, field_path: str = "phase") -> float:
                 f"cannot parse angle {value!r}; use a number or 'pi*<num>/<den>'",
             )
         sign = -1.0 if m.group(1) else 1.0
-        num = int(m.group(2)) if m.group(2) else 1
-        den = int(m.group(3)) if m.group(3) else 1
-        if den == 0:
-            raise ConfigError(field_path, "zero denominator in angle")
-        return sign * (math.pi * num) / den
-    raise ConfigError(field_path, f"expected an angle, got {type(value).__name__}")
+        try:
+            num = int(m.group(2)) if m.group(2) else 1
+            den = int(m.group(3)) if m.group(3) else 1
+            value = sign * (math.pi * num) / den
+        except ZeroDivisionError:
+            raise ConfigError(field_path, "zero denominator in angle") from None
+        except (OverflowError, ValueError):  # beyond the float range, or int()'s digit limit
+            value = math.inf
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(field_path, f"expected an angle, got {value!r}")
+    return _finite(value, field_path)
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,15 @@ _COIN_KEYS = _field_names(CoinSpec)
 _ENTRY_KEYS = _field_names(InitialEntry)
 _TOLERANCE_KEYS = _field_names(Tolerances)
 
+# The CoinSpec fields each coin kind takes; it must set these and no others.
+_KIND_FIELDS = {
+    CoinKind.CYCLIC: ("phases",),
+    CoinKind.PARTIAL_CYCLE: ("phases", "r"),
+    CoinKind.GENERAL_1D: ("theta", "phi1", "phi2"),
+    CoinKind.CUSTOM: ("custom_matrix",),
+}
+_COIN_FIELDS = tuple(f.name for f in fields(CoinSpec) if f.name != "kind")  # in field order
+
 
 # -- parsing ----------------------------------------------------------------
 
@@ -137,10 +149,17 @@ def _as_int(value, path: str, minimum: int | None = None, maximum: int | None = 
     return value
 
 
+def _finite(value, path: str) -> float:
+    """``value`` as a float; NaN, infinities and integers beyond the float range are refused."""
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # False for NaN; exact for any int
+        raise ConfigError(path, f"must be a finite number within ±{_FLOAT_MAX:.4g}")
+    return float(value)
+
+
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    return _finite(value, path)
 
 
 def _as_bool(value, path: str) -> bool:
@@ -291,7 +310,7 @@ def parse_config(text: Union[bytes, str]) -> WalkConfig:
             raise ConfigError("<config>", f"not valid UTF-8: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise ConfigError("<config>", f"invalid JSON: {exc}") from exc
     if not isinstance(obj, Mapping):
         raise ConfigError("<config>", "top level must be a JSON object")
@@ -326,30 +345,24 @@ def load_config(path) -> WalkConfig:
 
 
 def _build_coin(config: WalkConfig) -> CoinMatrix:
-    spec = config.coin
+    spec, n = config.coin, config.n
     try:
-        if spec.kind == CoinKind.CYCLIC.value:
-            if spec.phases is None:
-                raise ConfigError("coin.phases", "cyclic coins require phases")
-            if len(spec.phases) != config.n:
-                raise ConfigError(
-                    "coin.phases", f"expected {config.n} phases, got {len(spec.phases)}"
-                )
+        kind = CoinKind(spec.kind)
+        takes = _KIND_FIELDS[kind]
+        for name in _COIN_FIELDS:
+            if (getattr(spec, name) is None) == (name in takes):
+                problem = "require" if name in takes else "do not take"
+                raise ConfigError(f"coin.{name}", f"{kind.value} coins {problem} this field")
+        if kind is CoinKind.CYCLIC:
+            if len(spec.phases) != n:
+                raise ConfigError("coin.phases", f"expected {n} phases, got {len(spec.phases)}")
             return build_cyclic_coin(spec.phases, tol=config.tolerances.phase)
-        if spec.kind == CoinKind.PARTIAL_CYCLE.value:
-            if spec.phases is None or spec.r is None:
-                raise ConfigError("coin", "partial_cycle coins require phases and r")
-            return build_partial_cycle_coin(
-                config.n, spec.r, spec.phases, tol=config.tolerances.phase
-            )
-        if spec.kind == CoinKind.GENERAL_1D.value:
-            if config.n != 2:
+        if kind is CoinKind.PARTIAL_CYCLE:
+            return build_partial_cycle_coin(n, spec.r, spec.phases, tol=config.tolerances.phase)
+        if kind is CoinKind.GENERAL_1D:
+            if n != 2:
                 raise ConfigError("n", "general_1d coins require n = 2")
-            if spec.theta is None or spec.phi1 is None or spec.phi2 is None:
-                raise ConfigError("coin", "general_1d coins require theta, phi1, phi2")
             return build_general_coin_1d(spec.theta, spec.phi1, spec.phi2)
-        if spec.custom_matrix is None:
-            raise ConfigError("coin.custom_matrix", "custom coins require a matrix")
         return build_custom_coin(spec.custom_matrix)
     except ConfigError:
         raise

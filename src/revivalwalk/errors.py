@@ -65,11 +65,11 @@ class WindowTooSmallError(ValueError):
 
 
 class OracleTooLargeError(ValueError):
-    """The lattice oracle's operator would not fit its byte budget."""
+    """An oracle's arrays (lattice triplets, eigensolver stack) would not fit its byte budget."""
 
-    def __init__(self, budget: int, requested: int):
+    def __init__(self, budget: int, requested: int, what: str):
         self.budget, self.requested = budget, requested
-        super().__init__(f"oracle needs {requested} bytes of triplets; budget {budget} bytes")
+        super().__init__(f"{what} needs {requested} bytes; budget {budget} bytes")
 
 
 class OrderMismatchError(ValueError):

@@ -34,7 +34,9 @@ from .states import WalkState
 from .tolerances import TOL_MAT
 
 #: Largest triplet store (row and col as intp, value as complex128) that
-#: dense_oracle_evolve builds; larger windows raise OracleTooLargeError.
+#: dense_oracle_evolve builds, and largest (S, n, n) complex128 propagator
+#: stack that spectrum_sweep diagonalizes; larger requests raise
+#: OracleTooLargeError before anything is allocated.
 ORACLE_BUDGET_BYTES = 2**25
 _TRIPLET_BYTES = 2 * np.dtype(np.intp).itemsize + np.dtype(np.complex128).itemsize
 
@@ -213,10 +215,16 @@ def spectrum_sweep(
 
     Uses a dense eigensolver, making it an oracle that is independent of
     the closed-form route, and valid for any coin kind (dispersive coins
-    report k_independent=False).
+    report k_independent=False). A sweep whose propagator stack exceeds
+    ORACLE_BUDGET_BYTES is refused up front.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    requested = samples * prop.n**2 * np.dtype(np.complex128).itemsize
+    if requested > ORACLE_BUDGET_BYTES:
+        raise OracleTooLargeError(
+            ORACLE_BUDGET_BYTES, requested, f"a spectrum sweep of {samples} samples"
+        )
     rng = np.random.default_rng(seed)
     points = momentum_samples(prop.d, max(0, samples - (prop.d + 1)), rng)[:samples]
     spectra = canonical_order(np.linalg.eigvals(evaluate_propagator(prop, points)))
@@ -266,7 +274,7 @@ def dense_oracle_evolve(
     hops = [[(j, coin[i, j]) for j in range(n) if coin[i, j] != 0] for i in range(n)]
     requested = math.prod(2 * w + 1 for w in half) * sum(map(len, hops)) * _TRIPLET_BYTES
     if requested > ORACLE_BUDGET_BYTES:
-        raise OracleTooLargeError(ORACLE_BUDGET_BYTES, requested)
+        raise OracleTooLargeError(ORACLE_BUDGET_BYTES, requested, "oracle triplet store")
 
     index = {pos: i for i, pos in enumerate(product(*(range(-w, w + 1) for w in half)))}
     size = n * len(index)

@@ -24,7 +24,6 @@ from revivalwalk import (
     build_shift_table,
     characteristic_eigenvalues,
     conventional_two_state_shifts,
-    cyclic_power_closed_form,
     dense_oracle_evolve,
     detect_revival,
     evaluate_propagator,
@@ -33,12 +32,13 @@ from revivalwalk import (
     l2_distance,
     random_cyclic_phases,
     reproduce_table,
-    roots_of_unity,
     spectrum_distance,
     spectrum_sweep,
     stationary_component_check,
     trajectory,
 )
+from revivalwalk.coins import cyclic_power_closed_form
+from revivalwalk.momentum import roots_of_unity
 
 
 @contextmanager

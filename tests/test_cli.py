@@ -132,6 +132,14 @@ def test_out_of_range_arguments_exit_2_naming_the_argument(table2_path, args, na
     assert f"argument {name}: must be >= " in proc.stderr.strip().splitlines()[-1]
 
 
+def test_spectrum_over_the_memory_budget_exits_2_in_one_line(table2_path):
+    proc = run_cli("spectrum", "--config", table2_path, "--samples", str(10**12))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("argument error: ") and proc.stderr.count("\n") == 1
+    assert f"{10**12} samples" in proc.stderr and "budget" in proc.stderr
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"d": 1, "n": 2')
@@ -225,6 +233,17 @@ def test_walk_leaving_the_coordinate_range_exits_2_in_one_line(tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "outside the supported coordinate range" in proc.stderr
+
+
+def test_stray_and_missing_coin_fields_exit_2_naming_the_field(tmp_path):
+    config = json.loads(golden_config_text(2))
+    for coin, field in [({**config["coin"], "r": 2, "theta": 1.0}, "coin.r"),
+                        ({"kind": "partial_cycle", "phases": [0, 0]}, "coin.r")]:
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps({**config, "coin": coin}))
+        proc = run_cli("walk-period", "--config", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"config error: {field}: ")
 
 
 @pytest.mark.parametrize("command", ["spectrum", "coin-build", "coin-order"])

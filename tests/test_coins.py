@@ -13,13 +13,11 @@ from revivalwalk import (
     build_cyclic_coin,
     build_general_coin_1d,
     build_partial_cycle_coin,
-    complete_phases,
-    cyclic_power_closed_form,
     matrix_order,
-    phase_sum_residual,
     random_cyclic_phases,
-    wrap_phase,
 )
+from revivalwalk.coins import (complete_phases, cyclic_power_closed_form, phase_sum_residual,
+                               wrap_phase)
 
 TAU = 2 * math.pi
 

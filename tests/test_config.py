@@ -16,11 +16,11 @@ from revivalwalk import (
     build_instance,
     golden_config,
     parse_config,
-    parse_phase,
     serialize_config,
-    usual_shift_choice,
 )
+from revivalwalk.config import parse_phase
 from revivalwalk.golden import golden_config_text
+from revivalwalk.shifts import usual_shift_choice
 
 
 def minimal_config(**overrides):
@@ -150,6 +150,141 @@ def test_unknown_coin_kind():
     with pytest.raises(ConfigError) as info:
         parse_config(minimal_config(coin={"kind": "grover"}))
     assert info.value.field == "coin.kind"
+
+
+ENTRY = {"position": [0], "coin": 1, "amp_re": 1.0, "amp_im": 0.0}
+IDENTITY = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+KIND_FIELDS = {
+    "cyclic": {"phases": [0, 0]},
+    "partial_cycle": {"phases": [0.4, -0.4], "r": 2},
+    "general_1d": {"theta": 0.5, "phi1": 0, "phi2": 0},
+    "custom": {"custom_matrix": IDENTITY},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+def test_coin_kind_takes_exactly_its_fields(kind):
+    takes = KIND_FIELDS[kind]
+    parse_config(minimal_config(coin={"kind": kind, **takes}))
+    for name in takes:
+        missing = {key: value for key, value in takes.items() if key != name}
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_config(coin={"kind": kind, **missing}))
+        assert info.value.field == f"coin.{name}"
+    stray = {name: value for fields in KIND_FIELDS.values() for name, value in fields.items()}
+    for name, value in stray.items():
+        if name not in takes:
+            with pytest.raises(ConfigError) as info:
+                parse_config(minimal_config(coin={"kind": kind, **takes, name: value}))
+            assert info.value.field == f"coin.{name}"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e309", "-" + "9" * 400])
+@pytest.mark.parametrize(
+    "coin,entry,field",
+    [
+        ({"kind": "cyclic", "phases": ["X", 0]}, ENTRY, "coin.phases[0]"),
+        ({"kind": "general_1d", "theta": "X", "phi1": 0, "phi2": 0}, ENTRY, "coin.theta"),
+        (
+            {"kind": "custom", "custom_matrix": [[["X", 0], [0, 0]], [[0, 0], [1, 0]]]},
+            ENTRY,
+            "coin.custom_matrix[0][0][0]",
+        ),
+        ({"kind": "cyclic", "phases": [0, 0]}, {**ENTRY, "amp_re": "X"}, "initial[0].amp_re"),
+    ],
+)
+def test_non_finite_numbers_rejected_where_they_enter(coin, entry, field, literal):
+    text = minimal_config(coin=coin, initial=[entry]).replace('"X"', literal)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.field == field
+    assert "finite" in str(info.value)
+
+
+@pytest.mark.parametrize("angle", ["pi*" + "9" * 400, "pi*1/" + "9" * 400, "pi*" + "9" * 5000])
+def test_angle_strings_beyond_the_float_range_are_config_errors(angle):
+    with pytest.raises(ConfigError) as info:
+        parse_phase(angle, "coin.phases[0]")
+    assert info.value.field == "coin.phases[0]"
+
+
+# One row per ConfigError raise site that parse_config reaches from malformed text.
+MALFORMED = [
+    ("angle syntax", {"coin": {"kind": "cyclic", "phases": ["pi*x", 0]}}, "coin.phases[0]"),
+    ("angle zero denominator", {"coin": {"kind": "cyclic", "phases": ["pi/0", 0]}},
+     "coin.phases[0]"),
+    ("angle type", {"coin": {"kind": "cyclic", "phases": [[0], 0]}}, "coin.phases[0]"),
+    ("missing field", {"shifts": None}, "shifts"),
+    ("integer type", {"d": 1.5}, "d"),
+    ("integer minimum", {"n": 1}, "n"),
+    ("integer maximum", {"seed": 2**64}, "seed"),
+    ("finite number", {"initial": [{**ENTRY, "amp_im": 1e400}]}, "initial[0].amp_im"),
+    ("number type", {"initial": [{**ENTRY, "amp_re": "1"}]}, "initial[0].amp_re"),
+    ("boolean type", {"normalize": 1}, "normalize"),
+    ("unknown field", {"spin": 1}, "spin"),
+    ("coin object", {"coin": [0, 0]}, "coin"),
+    ("coin kind", {"coin": {"kind": "hadamard"}}, "coin.kind"),
+    ("phase list", {"coin": {"kind": "cyclic", "phases": "pi"}}, "coin.phases"),
+    ("matrix rows", {"coin": {"kind": "custom", "custom_matrix": IDENTITY[:1]}},
+     "coin.custom_matrix"),
+    ("matrix row", {"coin": {"kind": "custom", "custom_matrix": [IDENTITY[0][:1], IDENTITY[1]]}},
+     "coin.custom_matrix[0]"),
+    ("matrix entry", {"coin": {"kind": "custom", "custom_matrix": [[1, 0], IDENTITY[1]]}},
+     "coin.custom_matrix[0][0]"),
+    ("shift grid", {"shifts": 5}, "shifts"),
+    ("shift rows", {"shifts": [[-1, 1], [-1, 1]]}, "shifts"),
+    ("shift row", {"shifts": [[-1, 0, 1]]}, "shifts[0]"),
+    ("initial list", {"initial": []}, "initial"),
+    ("initial entry", {"initial": [5]}, "initial[0]"),
+    ("position length", {"initial": [{**ENTRY, "position": [0, 0]}]}, "initial[0].position"),
+    ("coin label", {"initial": [{**ENTRY, "coin": 3}]}, "initial[0].coin"),
+    ("tolerance object", {"tolerances": 1e-9}, "tolerances"),
+    ("tolerance value", {"tolerances": {"norm": -1.0}}, "tolerances.norm"),
+    ("revival mode", {"revival_mode": "loose"}, "revival_mode"),
+    ("schema version", {"schema_version": 2}, "schema_version"),
+    # Fields are checked in CoinSpec order (r before theta), not in the file's order.
+    ("fields the kind lacks",
+     {"coin": {"kind": "cyclic", "theta": 1.0, "r": 2, "phases": [0, 0]}}, "coin.r"),
+    ("field the kind needs", {"coin": {"kind": "partial_cycle", "phases": [0, 0]}}, "coin.r"),
+    ("cyclic phase count", {"coin": {"kind": "cyclic", "phases": [0, 0, 0]}}, "coin.phases"),
+    ("general_1d dimension",
+     {"n": 3, "shifts": [[-1, 0, 1]], "coin": {"kind": "general_1d", "theta": 0, "phi1": 0,
+                                              "phi2": 0}}, "n"),
+    ("coin construction", {"coin": {"kind": "cyclic", "phases": [1.0, 0]}}, "coin.phases"),
+    ("shift table", {"shifts": [[1, 1]]}, "shifts[0]"),
+    ("initial state", {"initial": [{**ENTRY, "amp_re": 0.5}]}, "initial"),
+]
+
+
+@pytest.mark.parametrize("overrides,field", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_config_names_the_field(overrides, field):
+    obj = json.loads(minimal_config(**overrides))
+    obj = {key: value for key, value in obj.items() if value is not None}
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(obj))
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize(
+    "text", [b"\xff{}", b"{", b"[]", b'{"d": 1' + b"0" * 5000 + b"}"],
+    ids=["utf-8", "json syntax", "top level", "integer digit limit"],
+)
+def test_unreadable_config_text_is_a_config_error(text):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.field == "<config>"
+
+
+def test_instance_mismatch_in_a_hand_built_config_is_a_config_error():
+    three_by_three = tuple(tuple(complex(i == j) for j in range(3)) for i in range(3))
+    config = WalkConfig(
+        d=1, n=2, coin=CoinSpec(kind="custom", custom_matrix=three_by_three),
+        shifts=((-1, 1),), initial=(InitialEntry((0,), 1, 1.0, 0.0),),
+    )
+    with pytest.raises(ConfigError) as info:
+        config.instance
+    assert info.value.field == "<config>"
 
 
 def test_coin_label_range_checked():

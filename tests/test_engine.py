@@ -25,8 +25,8 @@ from revivalwalk import (
     stationary_component_check,
     step,
     trajectory,
-    usual_shift_choice,
 )
+from revivalwalk.shifts import usual_shift_choice
 
 A2 = 1.0 / math.sqrt(2.0)
 A3 = 1.0 / math.sqrt(3.0)

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from revivalwalk import (
-    NonUnitaryError,
-    is_unitary,
-    matrix_order,
-)
+from revivalwalk import NonUnitaryError, matrix_order
+from revivalwalk.linalg import is_unitary
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import random_cyclic_instance, random_sparse_state, random_zero_sum_row
 from revivalwalk import (
-    TOL_MAT,
     ConstraintError,
     DimensionMismatchError,
     MomentumPropagator,
@@ -29,17 +28,17 @@ from revivalwalk import (
     evaluate_propagator,
     evolve,
     golden_config,
-    is_unitary,
     l2_distance,
     propagator_order,
     random_cyclic_phases,
-    roots_of_unity,
     spectrum_distance,
     spectrum_sweep,
-    usual_shift_choice,
-    wrap_momentum,
 )
-from revivalwalk.momentum import canonical_order, momentum_samples
+from revivalwalk.linalg import is_unitary
+from revivalwalk.momentum import (ORACLE_BUDGET_BYTES, canonical_order, momentum_samples,
+                                  roots_of_unity, wrap_momentum)
+from revivalwalk.shifts import usual_shift_choice
+from revivalwalk.tolerances import TOL_MAT
 
 
 def three_state_prop():
@@ -411,6 +410,22 @@ def test_oracle_refuses_windows_over_its_byte_budget_before_allocating():
     error = info.value
     assert error.requested > error.budget
     assert str(error.requested) in str(error) and str(error.budget) in str(error)
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("samples", [ORACLE_BUDGET_BYTES // (9 * 16) + 1, 10**12])
+def test_sweep_refuses_stacks_over_the_byte_budget_before_allocating(samples):
+    prop = three_state_prop()
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleTooLargeError) as info:
+            spectrum_sweep(prop, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.budget == ORACLE_BUDGET_BYTES
+    assert info.value.requested == samples * 3 * 3 * 16
+    assert f"{samples} samples" in str(info.value)
     assert peak < 100_000
 
 

@@ -17,8 +17,8 @@ from revivalwalk import (
     l2_distance,
     probability_distribution,
     step,
-    usual_shift_choice,
 )
+from revivalwalk.shifts import usual_shift_choice
 
 
 def test_build_valid_line_table():
