@@ -4,8 +4,8 @@ The library builds cyclic and partial-cycle phase coins whose matrix
 order equals the coin dimension (or the cycle length), pairs them with
 zero-sum integer shift tables, evolves sparse coin-walker states, and
 verifies the flat roots-of-unity momentum spectrum that guarantees the
-revivals. A dense truncated-lattice oracle and closed-form matrix powers
-provide independent cross-checks of the sparse engine.
+revivals. A dense truncated-lattice oracle provides an independent
+cross-check of the sparse engine.
 
 The top level exports what the README, the demos, the CLI and the
 benchmark use, every error type, and the coin builders; everything else
@@ -17,7 +17,7 @@ from .coins import (CoinKind, build_custom_coin, build_cyclic_coin, build_genera
 from .config import (CoinSpec, InitialEntry, WalkConfig, build_instance, load_config,
                      parse_config, serialize_config)
 from .engine import (RevivalMode, WalkInstance, detect_revival, evolve, probability_distribution,
-                     stationary_component_check, step, trajectory)
+                     step, trajectory)
 from .errors import (ConfigError, ConstraintError, CoordinateOverflowError,
                      DimensionMismatchError, NonUnitaryError, NormalizationError,
                      OracleTooLargeError, OrderMismatchError, PhaseSumError,

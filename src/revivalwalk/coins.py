@@ -174,34 +174,3 @@ def build_general_coin_1d(theta: float, phi1: float, phi2: float) -> CoinMatrix:
 def build_custom_coin(matrix) -> CoinMatrix:
     """Wrap an arbitrary unitary as a coin; no revival structure is assumed."""
     return CoinMatrix(matrix=as_complex_matrix(matrix), kind=CoinKind.CUSTOM)
-
-
-def cyclic_power_closed_form(coin: CoinMatrix, m: int) -> np.ndarray:
-    """W^m of a cyclic coin assembled entry by entry, without multiplying.
-
-    Each entry of W^m is a product of m consecutive hop phases placed at
-    the cyclically shifted slot; m = n collapses to (prod of all phases)
-    times the identity. Serves as the closed-form counterpart to repeated
-    matrix multiplication in tests.
-    """
-    if coin.kind is not CoinKind.CYCLIC:
-        raise ConstraintError(f"closed-form powers require a cyclic coin, got {coin.kind.value}")
-    n = coin.n
-    if not 1 <= m <= n:
-        raise ConstraintError(f"power must be in 1..{n}, got {m}")
-    lam = np.exp(1j * np.asarray(coin.phases, dtype=np.float64))
-    if m == n:
-        return lam.prod() * np.eye(n, dtype=np.complex128)
-    if m == 1:
-        return coin.matrix.copy()
-    out = np.zeros((n, n), dtype=np.complex128)
-    # Hops that do not wrap: slot k-m feeds slot k (1-based k = m+1 .. n).
-    for k in range(m + 1, n + 1):
-        out[k - 1, k - m - 1] = lam[k - m : k].prod()
-    # Hops that wrap past slot n: head phases 1..j times tail phases n-v.
-    for j in range(1, m):
-        head = lam[:j].prod()
-        tail = lam[n - (m - j) :].prod()
-        out[j - 1, n - (m - j) - 1] = head * tail
-    out[m - 1, n - 1] = lam[:m].prod()
-    return out

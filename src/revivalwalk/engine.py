@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coins import CoinKind, CoinMatrix
-from .errors import ConstraintError, DimensionMismatchError, NormalizationError
+from .coins import CoinMatrix
+from .errors import DimensionMismatchError, NormalizationError
 from .shifts import ShiftTable, apply_shift
 from .states import Position, WalkState, inner_product, l2_distance
 from .tolerances import Tolerances
@@ -138,35 +138,3 @@ def probability_distribution(state: WalkState) -> dict[Position, float]:
     return {
         pos: float(np.vdot(vec, vec).real) for pos, vec in state.items()
     }
-
-
-def stationary_component_check(instance: WalkInstance, t: int) -> bool:
-    """True iff amplitude on the fixed coin slots never moves or shrinks.
-
-    Only meaningful for a partial-cycle coin whose fixed slots carry zero
-    displacements; those two preconditions are enforced. The check runs
-    the walk t steps and compares, slot by slot, the modulus of every
-    initially parked amplitude against the evolved state at the same
-    position.
-    """
-    coin = instance.coin
-    if coin.kind is not CoinKind.PARTIAL_CYCLE:
-        raise ConstraintError(
-            f"stationary components require a partial-cycle coin, got {coin.kind.value}"
-        )
-    r = coin.cycle_length
-    assert r is not None
-    for dim_row in instance.shifts.displacements:
-        if any(dim_row[j] != 0 for j in range(r, coin.n)):
-            raise ConstraintError(
-                "fixed coin slots must have zero displacement in every dimension"
-            )
-    final = evolve(instance, t)
-    tol = instance.tolerances.norm
-    for pos, vec in instance.initial.items():
-        for j in range(r, coin.n):
-            if vec[j] == 0:
-                continue
-            if abs(abs(final.amplitude(pos, j)) - abs(vec[j])) > tol:
-                return False
-    return True

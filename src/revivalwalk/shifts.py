@@ -34,16 +34,12 @@ class ShiftTable:
     def n(self) -> int:
         return len(self.displacements[0])
 
-    def negated(self) -> "ShiftTable":
-        """Table moving every amplitude back where it came from."""
-        return build_shift_table([[-a for a in row] for row in self.displacements])
-
 
 def build_shift_table(displacements: Sequence[Sequence[int]]) -> ShiftTable:
     """Validate a d x n displacement grid.
 
-    Every row must sum to zero exactly (integer arithmetic, no tolerance)
-    and contain either no nonzero entries (inert, warned about) or at
+    Every row must sum to zero exactly (integer arithmetic, no tolerance),
+    so it holds either no nonzero entries (inert, warned about) or at
     least two of them.
     """
     rows = [tuple(int(a) for a in row) for row in displacements]
@@ -59,13 +55,8 @@ def build_shift_table(displacements: Sequence[Sequence[int]]) -> ShiftTable:
         residual = sum(row)
         if residual != 0:
             raise ZeroSumError(r, residual)
-        nonzero = sum(1 for a in row if a != 0)
-        if nonzero == 0:
+        if not any(row):
             inert.append(r)
-        elif nonzero < 2:
-            # Unreachable after the zero-sum check; kept as a guard so the
-            # error names the actual construction requirement.
-            raise ZeroSumError(r, residual)
     if inert:
         warnings.warn(
             f"shift table has inert (all-zero) dimension(s) {tuple(inert)}; "
@@ -97,9 +88,9 @@ def apply_shift(state: WalkState, table: ShiftTable) -> WalkState:
     """Move each coin slot's amplitude by its displacement vector.
 
     Pure relocation: the multiset of amplitudes is unchanged, so the norm
-    is preserved exactly and the negated table inverts the move. A
-    coordinate leaving the signed 64-bit range raises instead of wrapping;
-    a wrapped lattice would fake recurrences.
+    is preserved exactly and flipping every displacement's sign inverts
+    the move. A coordinate leaving the signed 64-bit range raises instead
+    of wrapping; a wrapped lattice would fake recurrences.
     """
     if state.d != table.d or state.n != table.n:
         raise DimensionMismatchError(

@@ -7,9 +7,9 @@ speaks 1-based indices to match the usual bra-ket labelling.
 
 States are value-semantic: every operation returns a new state, the
 amplitude arrays are frozen (non-writeable), and positions whose vectors
-are exactly zero are never stored. Epsilon pruning is opt-in via
-:meth:`WalkState.prune`; by default only exact zeros are dropped so that
-support structure stays meaningful in revival checks.
+are exactly zero are never stored. Only exact zeros are dropped, never
+tiny amplitudes, so that support structure stays meaningful in revival
+checks.
 """
 
 from __future__ import annotations
@@ -138,15 +138,6 @@ class WalkState:
         for vec in self._amps.values():
             total += float(np.vdot(vec, vec).real)
         return math.sqrt(total)
-
-    def prune(self, epsilon: float) -> "WalkState":
-        """Drop amplitudes with |amp| < epsilon (opt-in, for long runs)."""
-        amps = {}
-        for pos, vec in self._amps.items():
-            kept = np.where(np.abs(vec) < epsilon, 0j, vec)
-            if kept.any():
-                amps[pos] = kept
-        return WalkState(self.d, self.n, amps)
 
     def __len__(self) -> int:
         return len(self._amps)

@@ -45,6 +45,13 @@ def random_sparse_state(
     return WalkState.from_entries(d, n, entries, normalize=True)
 
 
+def fixed_slot_part(state: WalkState, r: int) -> dict:
+    """Nonzero amplitudes on coin slots r..n-1, keyed by (position, slot)."""
+    return {
+        (pos, j): vec[j] for pos, vec in state.items() for j in range(r, state.n) if vec[j] != 0
+    }
+
+
 def random_cyclic_instance(
     d: int,
     n: int,

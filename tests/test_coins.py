@@ -16,8 +16,7 @@ from revivalwalk import (
     matrix_order,
     random_cyclic_phases,
 )
-from revivalwalk.coins import (complete_phases, cyclic_power_closed_form, phase_sum_residual,
-                               wrap_phase)
+from revivalwalk.coins import complete_phases, phase_sum_residual, wrap_phase
 
 TAU = 2 * math.pi
 
@@ -145,60 +144,6 @@ def test_cyclic_coin_pattern_and_unitarity(n):
                 assert m[i, j] == 0
     gram = m @ m.conj().T
     assert np.abs(gram - np.eye(n)).max() <= 1e-10
-
-
-def test_closed_form_power_first_is_the_coin():
-    coin = build_cyclic_coin([4 * math.pi / 3, 2 * math.pi / 3])
-    np.testing.assert_array_equal(cyclic_power_closed_form(coin, 1), coin.matrix)
-
-
-def test_closed_form_power_at_n_is_identity():
-    for n in (2, 3, 6):
-        rng = np.random.default_rng(60 + n)
-        coin = build_cyclic_coin(random_cyclic_phases(n, rng))
-        np.testing.assert_allclose(cyclic_power_closed_form(coin, n), np.eye(n), atol=1e-12)
-
-
-def test_closed_form_power_matches_repeated_multiplication():
-    rng = np.random.default_rng(5)
-    coin = build_cyclic_coin(random_cyclic_phases(5, rng))
-    expected = np.linalg.matrix_power(coin.matrix, 3)
-    np.testing.assert_allclose(cyclic_power_closed_form(coin, 3), expected, atol=1e-10)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_closed_form_power_all_exponents(n):
-    rng = np.random.default_rng(80 + n)
-    coin = build_cyclic_coin(random_cyclic_phases(n, rng))
-    for m in range(1, n + 1):
-        oracle = np.linalg.matrix_power(coin.matrix, m)
-        np.testing.assert_allclose(cyclic_power_closed_form(coin, m), oracle, atol=1e-10)
-
-
-def test_closed_form_power_zero_diagonal_below_n():
-    rng = np.random.default_rng(9)
-    coin = build_cyclic_coin(random_cyclic_phases(6, rng))
-    for m in range(1, 6):
-        diag = np.diagonal(cyclic_power_closed_form(coin, m))
-        assert np.abs(diag).max() == 0.0
-
-
-def test_closed_form_power_input_validation():
-    coin = build_cyclic_coin([0.0, 0.0])
-    with pytest.raises(ConstraintError):
-        cyclic_power_closed_form(coin, 0)
-    with pytest.raises(ConstraintError):
-        cyclic_power_closed_form(coin, 3)
-    hadamard = build_general_coin_1d(math.pi / 4, 0.0, 0.0)
-    with pytest.raises(ConstraintError):
-        cyclic_power_closed_form(hadamard, 1)
-
-
-def test_multiplying_coin_by_its_last_closed_form_power_gives_identity():
-    rng = np.random.default_rng(21)
-    coin = build_cyclic_coin(random_cyclic_phases(6, rng))
-    product = coin.matrix @ cyclic_power_closed_form(coin, 5)
-    np.testing.assert_allclose(product, np.eye(6), atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_cyclic_instance, random_sparse_state
+from helpers import fixed_slot_part, random_cyclic_instance, random_sparse_state
 from revivalwalk import (
-    ConstraintError,
     DimensionMismatchError,
     NormalizationError,
     RevivalMode,
@@ -22,7 +21,6 @@ from revivalwalk import (
     l2_distance,
     probability_distribution,
     random_cyclic_phases,
-    stationary_component_check,
     step,
     trajectory,
 )
@@ -275,48 +273,25 @@ def test_partial_cycle_walk_revives_every_r_steps():
     assert l2_distance(evolve(instance, 4), initial) <= 1e-12
 
 
-def test_stationary_component_check_parked_amplitude():
-    coin = build_partial_cycle_coin(4, 2, [0.7, -0.7])
-    shifts = build_shift_table([(1, -1, 0, 0)])
-    initial = WalkState.localized(1, 4, (0,), 2)
-    instance = WalkInstance(coin=coin, shifts=shifts, initial=initial)
-    for t in (0, 1, 5, 20):
-        assert stationary_component_check(instance, t)
-
-
-def test_stationary_component_check_vacuous_on_cycled_slots():
-    coin = build_partial_cycle_coin(4, 2, [0.7, -0.7])
-    shifts = build_shift_table([(1, -1, 0, 0)])
+@pytest.mark.parametrize(
+    "phases,row,entries,ts",
+    [
+        ([0.7, -0.7], (1, -1, 0, 0), [((0,), 2, 1.0)], (0, 1, 5, 20)),
+        ([0.7, -0.7], (1, -1, 0, 0), [((0,), 0, 1.0)], (7,)),
+        ([0.5, 0.5, -1.0], (2, -1, -1, 0, 0), [((0,), 1, A2), ((1,), 4, A2)], (7,)),
+    ],
+    ids=["parked", "cycled-only", "mixed"],
+)
+def test_partial_cycle_fixed_slots_stay_parked(phases, row, entries, ts):
+    n, r = len(row), len(phases)
+    initial = WalkState.from_entries(1, n, entries)
     instance = WalkInstance(
-        coin=coin, shifts=shifts, initial=WalkState.localized(1, 4, (0,), 0)
+        coin=build_partial_cycle_coin(n, r, phases),
+        shifts=build_shift_table([row]),
+        initial=initial,
     )
-    assert stationary_component_check(instance, 7)
-
-
-def test_stationary_component_check_mixed_initial():
-    coin = build_partial_cycle_coin(5, 3, [0.5, 0.5, -1.0])
-    shifts = build_shift_table([(2, -1, -1, 0, 0)])
-    initial = WalkState.from_entries(1, 5, [((0,), 1, A2), ((1,), 4, A2)])
-    instance = WalkInstance(coin=coin, shifts=shifts, initial=initial)
-    assert stationary_component_check(instance, 7)
-
-
-def test_stationary_component_check_preconditions():
-    cyclic = WalkInstance(
-        coin=build_cyclic_coin([0.0, 0.0]),
-        shifts=build_shift_table([(-1, 1)]),
-        initial=WalkState.localized(1, 2, (0,), 0),
-    )
-    with pytest.raises(ConstraintError):
-        stationary_component_check(cyclic, 3)
-
-    moving_fixed = WalkInstance(
-        coin=build_partial_cycle_coin(3, 2, [0.2, -0.2]),
-        shifts=build_shift_table([(1, 1, -2)]),
-        initial=WalkState.localized(1, 3, (0,), 0),
-    )
-    with pytest.raises(ConstraintError):
-        stationary_component_check(moving_fixed, 3)
+    for t in ts:
+        assert fixed_slot_part(evolve(instance, t), r) == fixed_slot_part(initial, r)
 
 
 def test_walk_instance_validation():

@@ -34,10 +34,12 @@ def test_build_valid_plane_table():
 
 
 def test_zero_sum_violation_names_dimension_and_residual():
-    with pytest.raises(ZeroSumError) as info:
-        build_shift_table([(0, 0), (1, 2)])
-    assert info.value.dimension == 1
-    assert info.value.residual == 3
+    # A single mover can never sum to zero, so it fails the same check.
+    for rows, dimension in (([(0, 0), (1, 2)], 1), ([(0, 3, 0)], 0)):
+        with pytest.raises(ZeroSumError) as info:
+            build_shift_table(rows)
+        assert info.value.dimension == dimension
+        assert info.value.residual == 3
 
 
 def test_ragged_and_degenerate_grids_rejected():
@@ -116,7 +118,8 @@ def test_shift_then_negated_shift_round_trips():
     rng = np.random.default_rng(17)
     table = build_shift_table([(2, -3, 1), (-1, 0, 1)])
     state = random_sparse_state(2, 3, rng, sites=4)
-    back = apply_shift(apply_shift(state, table), table.negated())
+    inverse = build_shift_table([[-a for a in row] for row in table.displacements])
+    back = apply_shift(apply_shift(state, table), inverse)
     assert l2_distance(back, state) == 0.0
 
 

@@ -71,13 +71,6 @@ def test_tiny_amplitudes_survive_by_default():
     assert psi.amplitude((0,), 1) == 1e-300
 
 
-def test_prune_epsilon_is_opt_in():
-    psi = WalkState(1, 2, {(0,): np.array([1.0, 1e-300], dtype=complex)})
-    pruned = psi.prune(1e-200)
-    assert pruned.amplitude((0,), 1) == 0j
-    assert pruned.amplitude((0,), 0) == 1.0
-
-
 def test_amplitude_vectors_are_frozen_and_copied():
     source = np.array([1.0, 0.0], dtype=complex)
     psi = WalkState(1, 2, {(0,): source})
