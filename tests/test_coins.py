@@ -146,6 +146,25 @@ def test_cyclic_coin_pattern_and_unitarity(n):
     assert np.abs(gram - np.eye(n)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cyclic_coin_powers_are_phased_cyclic_shifts(n):
+    # W moves slot j to slot j + 1, so W^m moves it m slots on, weighted by
+    # the product of the m hop entries it passes through.
+    rng = np.random.default_rng(80 + n)
+    w = build_cyclic_coin(random_cyclic_phases(n, rng)).matrix
+    power = np.eye(n, dtype=complex)
+    for m in range(1, n + 1):
+        power = w @ power
+        for j in range(n):
+            hops = [w[(j + k + 1) % n, (j + k) % n] for k in range(m)]
+            for i in range(n):
+                if i == (j + m) % n:
+                    assert abs(power[i, j] - np.prod(hops)) <= 1e-12
+                else:
+                    assert power[i, j] == 0
+    np.testing.assert_allclose(power, np.eye(n), atol=1e-10)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
 def test_cyclic_coin_order_is_exactly_n(n):
     rng = np.random.default_rng(100 + n)
@@ -165,6 +184,18 @@ def test_partial_cycle_block_swap():
     assert not coin.matrix[:2, 2:].any()
     assert not coin.matrix[2:, :2].any()
     np.testing.assert_allclose(coin.matrix @ coin.matrix, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (5, 3), (6, 4)])
+def test_partial_cycle_powers_keep_the_fixed_block_exact(n, r):
+    rng = np.random.default_rng(10 * n + r)
+    w = build_partial_cycle_coin(n, r, random_cyclic_phases(r, rng)).matrix
+    power = np.eye(n, dtype=complex)
+    for _ in range(2 * r + 1):
+        power = w @ power
+        np.testing.assert_array_equal(power[r:, r:], np.eye(n - r))
+        assert not power[:r, r:].any()
+        assert not power[r:, :r].any()
 
 
 def test_partial_cycle_degenerates_to_cyclic_when_r_equals_n():

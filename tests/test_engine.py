@@ -274,24 +274,50 @@ def test_partial_cycle_walk_revives_every_r_steps():
 
 
 @pytest.mark.parametrize(
-    "phases,row,entries,ts",
+    "phases,rows,entries,ts",
     [
-        ([0.7, -0.7], (1, -1, 0, 0), [((0,), 2, 1.0)], (0, 1, 5, 20)),
-        ([0.7, -0.7], (1, -1, 0, 0), [((0,), 0, 1.0)], (7,)),
-        ([0.5, 0.5, -1.0], (2, -1, -1, 0, 0), [((0,), 1, A2), ((1,), 4, A2)], (7,)),
+        ([0.7, -0.7], [(1, -1, 0, 0)], [((0,), 2, 1.0)], (0, 1, 5, 20)),
+        ([0.7, -0.7], [(1, -1, 0, 0)], [((0,), 0, 1.0)], (7,)),
+        ([0.5, 0.5, -1.0], [(2, -1, -1, 0, 0)], [((0,), 1, A2), ((1,), 4, A2)], (7,)),
+        (
+            [0.7, -0.7],
+            [(1, -1, 0, 0), (-3, 3, 0, 0)],
+            [((0, 0), 0, A2), ((2, -1), 3, A2)],
+            (1, 6, 13),
+        ),
+        (
+            [0.5, 0.5, -1.0],
+            [(2, -1, -1, 0, 0), (0, 1, -1, 0, 0), (-1, 0, 1, 0, 0)],
+            [((0, 0, 0), 2, A3), ((0, 0, 0), 3, A3), ((1, 1, 1), 4, A3)],
+            (2, 9),
+        ),
     ],
-    ids=["parked", "cycled-only", "mixed"],
+    ids=["parked", "cycled-only", "mixed", "plane", "cube"],
 )
-def test_partial_cycle_fixed_slots_stay_parked(phases, row, entries, ts):
-    n, r = len(row), len(phases)
-    initial = WalkState.from_entries(1, n, entries)
+def test_partial_cycle_fixed_slots_stay_parked(phases, rows, entries, ts):
+    n, r = len(rows[0]), len(phases)
+    initial = WalkState.from_entries(len(rows), n, entries)
     instance = WalkInstance(
         coin=build_partial_cycle_coin(n, r, phases),
-        shifts=build_shift_table([row]),
+        shifts=build_shift_table(rows),
         initial=initial,
     )
     for t in ts:
         assert fixed_slot_part(evolve(instance, t), r) == fixed_slot_part(initial, r)
+
+
+def test_fixed_slot_with_a_nonzero_shift_is_not_parked():
+    # Parking needs both the identity block and a zero shift column; a
+    # fixed slot that moves carries its amplitude away each step.
+    initial = WalkState.localized(1, 3, (0,), 2)
+    instance = WalkInstance(
+        coin=build_partial_cycle_coin(3, 2, [0.2, -0.2]),
+        shifts=build_shift_table([(1, 1, -2)]),
+        initial=initial,
+    )
+    after = evolve(instance, 3)
+    assert fixed_slot_part(after, 2) == {((-6,), 2): 1.0}
+    assert fixed_slot_part(after, 2) != fixed_slot_part(initial, 2)
 
 
 def test_walk_instance_validation():

@@ -114,10 +114,23 @@ def test_apply_zero_table_is_identity():
     assert l2_distance(apply_shift(state, table), state) == 0.0
 
 
-def test_shift_then_negated_shift_round_trips():
+def test_zero_columns_leave_their_slots_in_place():
+    table = build_shift_table([(1, -1, 0), (-2, 2, 0)])
+    state = WalkState.from_entries(2, 3, [((0, 0), 0, 0.6), ((4, -1), 2, 0.8j)])
+    moved = apply_shift(state, table)
+    assert moved.amplitude((4, -1), 2) == 0.8j
+    assert moved.amplitude((1, -2), 0) == 0.6
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(2, -3, 1)], [(2, -3, 1), (-1, 0, 1)], [(1, 0, -1), (0, 4, -4), (-2, 1, 1)]],
+    ids=["line", "plane", "cube"],
+)
+def test_shift_then_negated_shift_round_trips(rows):
     rng = np.random.default_rng(17)
-    table = build_shift_table([(2, -3, 1), (-1, 0, 1)])
-    state = random_sparse_state(2, 3, rng, sites=4)
+    table = build_shift_table(rows)
+    state = random_sparse_state(table.d, 3, rng, sites=4)
     inverse = build_shift_table([[-a for a in row] for row in table.displacements])
     back = apply_shift(apply_shift(state, table), inverse)
     assert l2_distance(back, state) == 0.0
