@@ -8,12 +8,12 @@ same machinery backs the command line:
     revivalwalk reproduce-table --which 2
 """
 
+import io
 import json
 
 from revivalwalk import (
     golden_config,
     parse_config,
-    probability_csv,
     reproduce_table,
     run_spectrum,
     run_walk,
@@ -36,12 +36,15 @@ config = parse_config(
 )
 print("parsed config round-trips:", parse_config(serialize_config(config)) == config)
 
-record = run_walk(config)
+# run_walk streams the record and the CSV to text handles while the walk runs.
+record_text, csv_text = io.StringIO(), io.StringIO()
+run_walk(config, record_text, csv_text)
+record = json.loads(record_text.getvalue())
 print("detected period:", record["period"])
 print("fidelity series:", [f"{f:.3f}" for f in record["fidelity_series"]])
 
 print("\nprobability CSV:")
-print(probability_csv(record))
+print(csv_text.getvalue())
 
 spectrum = run_spectrum(config, samples=6)
 print("spectrum flat across momenta:", spectrum["k_independent"])

@@ -13,14 +13,20 @@ Exit codes: 0 success (or PASS), 1 golden-table FAIL, 2 config or argument
 error (including a walk whose initial positions lead it out of the signed
 64-bit coordinate range, and a spectrum sweep over its memory budget),
 3 output error (--out or --csv cannot be written).
-JSON records go to --out when given, else stdout.
+Records are one line of compact JSON, to --out when given, else stdout.
+walk-run streams its record and CSV while the walk runs. Files are renamed
+into place from ``<path>.partial`` only on success, so a failed command
+leaves existing targets as they were; on stdout, a failed walk-run may
+leave a partial record.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager, nullcontext, suppress
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .engine import detect_revival
 from .errors import CoordinateOverflowError, OracleTooLargeError
 from .golden import reproduce_table
 from .linalg import matrix_order
-from .records import probability_csv, run_spectrum, run_walk
+from .records import COMPACT, run_spectrum, run_walk
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -37,13 +43,30 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
+@contextmanager
+def _output(path: str | None):
+    """Text handle for ``path`` (stdout when None), via ``<path>.partial``.
+
+    The partial file replaces ``path`` if the block succeeds and is removed if not.
+    """
+    if path is None:
+        yield sys.stdout
+        return
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(partial, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(partial)
+        raise
+
+
 def _emit(record: dict, out: str | None) -> None:
-    text = json.dumps(record, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+    text = json.dumps(record, separators=COMPACT) + "\n"
+    with _output(out) as handle:
+        handle.write(text)
 
 
 def _cmd_coin_build(args) -> int:
@@ -80,12 +103,10 @@ def _cmd_coin_order(args) -> int:
 
 
 def _cmd_walk_run(args) -> int:
-    # The config (and the instance it holds) is released once the walk has run.
-    record = run_walk(load_config(args.config))
-    _emit(record, args.out)
-    if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(probability_csv(record))
+    config = load_config(args.config)
+    csv = nullcontext() if args.csv is None else _output(args.csv)
+    with _output(args.out) as out, csv as csv_handle:
+        run_walk(config, out, csv_handle)
     return EXIT_OK
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import reduce
 
 from .coins import CoinMatrix
 from .errors import DimensionMismatchError, NormalizationError
@@ -134,7 +133,8 @@ def detect_revival(
 
 
 def probability_distribution(state: WalkState) -> dict[Position, float]:
-    """Per-position probability: squared amplitude moduli summed over slots."""
+    """Per-position probability: re^2 + im^2 of each slot, added in slot order."""
     return {
-        pos: float(np.vdot(vec, vec).real) for pos, vec in state.items()
+        pos: reduce(lambda p, a: p + a.real ** 2 + a.imag ** 2, vec.tolist(), 0.0)
+        for pos, vec in state.items()
     }

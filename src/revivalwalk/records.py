@@ -1,4 +1,4 @@
-"""Run records: walk trajectories and spectrum reports as plain dicts.
+"""Run records: walk trajectories streamed as JSON, spectrum reports as dicts.
 
 Everything here is JSON-ready (schema_version 1) and deterministic:
 state dumps are sorted by position then coin slot, and momentum sampling
@@ -8,79 +8,70 @@ in config files.
 
 from __future__ import annotations
 
-import csv
-import io
+import json
+from typing import TextIO
 
 import numpy as np
 
 from .config import WalkConfig, build_instance
-from .engine import trajectory
+from .engine import probability_distribution, trajectory
 from .momentum import MomentumPropagator, spectrum_sweep
 from .states import WalkState
+
+# json.dumps runs CPython's C encoder; indent= and json.dump(obj, handle) use the Python one.
+COMPACT = (",", ":")
 
 
 def _state_dump(state: WalkState) -> list[dict]:
     rows = []
     for pos, vec in sorted(state.items()):
-        for coin in range(state.n):
-            amp = vec[coin]
-            if amp != 0:
-                rows.append(
-                    {
-                        "position": list(pos),
-                        "coin": coin + 1,
-                        "re": float(amp.real),
-                        "im": float(amp.imag),
-                    }
-                )
+        position = list(pos)
+        for coin, amp in enumerate(vec.tolist(), 1):
+            if amp:
+                rows.append({"position": position, "coin": coin, "re": amp.real, "im": amp.imag})
     return rows
 
 
-def run_walk(config: WalkConfig) -> dict:
-    """Evolve to max_steps, dumping every state and the revival series.
+def run_walk(config: WalkConfig, out: TextIO, csv: TextIO | None = None) -> None:
+    """Evolve to max_steps, writing the record to ``out`` and the CSV to ``csv``.
 
     Unlike the early-stopping revival search, the record always covers
     t = 0 .. max_steps so trajectories can be plotted past the revival.
+    Each step is encoded as soon as its state exists; ``period`` and the
+    series follow ``steps`` because they are known only at the end.
     """
-    steps, fidelity, distance, period = [], [], [], None
+    head = {"schema_version": 1, "d": config.d, "n": config.n,
+            "revival_mode": config.revival_mode.value, "max_steps": config.max_steps}
+    out.write(json.dumps(head, separators=COMPACT)[:-1] + ',"steps":')
+    if csv is not None:
+        csv.write(",".join(["step", *[f"x{r + 1}" for r in range(config.d)], "probability"]) + "\n")
+    fidelity, distance, period = [], [], None
     walk = trajectory(build_instance(config), config.max_steps, config.revival_mode)
     for t, state, f, dist, revived in walk:
         fidelity.append(f)
         distance.append(dist)
         if revived and period is None:
             period = t
-        steps.append({"t": t, "state": _state_dump(state)})
-    return {
-        "schema_version": 1,
-        "d": config.d,
-        "n": config.n,
-        "revival_mode": config.revival_mode.value,
-        "max_steps": config.max_steps,
-        "period": period,
-        "fidelity_series": fidelity,
-        "distance_series": distance,
-        "steps": steps,
-    }
+        out.write("," if t else "[")
+        out.write(json.dumps({"t": t, "state": _state_dump(state)}, separators=COMPACT))
+        if csv is not None:
+            probability_csv(t, state, csv)
+    out.write(f'],"period":{json.dumps(period)}')
+    for key, series in (("fidelity_series", fidelity), ("distance_series", distance)):
+        out.write(f',"{key}":' + json.dumps(series, separators=COMPACT))
+    out.write("}\n")
 
 
-def probability_csv(record: dict) -> str:
-    """CSV view of a run record: step, one column per axis, probability.
+def probability_csv(t: int, state: WalkState, csv: TextIO) -> None:
+    """Write step t's CSV rows: step, one column per axis, probability.
 
-    Amplitudes at the same position are summed over coin slots; each
-    step's rows sum to 1 up to accumulated rounding.
+    One row per occupied position, in sorted order; the probability is
+    summed over coin slots, so each step's rows sum to 1 up to rounding.
     """
-    d = record["d"]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["step", *[f"x{r + 1}" for r in range(d)], "probability"])
-    for entry in record["steps"]:
-        totals: dict[tuple[int, ...], float] = {}
-        for row in entry["state"]:
-            pos = tuple(row["position"])
-            totals[pos] = totals.get(pos, 0.0) + row["re"] ** 2 + row["im"] ** 2
-        for pos in sorted(totals):
-            writer.writerow([entry["t"], *pos, repr(totals[pos])])
-    return out.getvalue()
+    probabilities = probability_distribution(state)
+    csv.writelines(
+        f"{t},{','.join(map(str, pos))},{probabilities[pos]!r}\n" for pos in sorted(probabilities)
+    )
 
 
 def run_spectrum(config: WalkConfig, samples: int, seed: int | None = None) -> dict:
@@ -91,6 +82,7 @@ def run_spectrum(config: WalkConfig, samples: int, seed: int | None = None) -> d
         prop, samples, seed=config.seed if seed is None else seed,
         tol=config.tolerances.mat,
     )
+    args = np.angle(report.eigenvalue_sets).tolist()
     return {
         "schema_version": 1,
         "n": config.n,
@@ -98,11 +90,8 @@ def run_spectrum(config: WalkConfig, samples: int, seed: int | None = None) -> d
         "samples": len(report.k_samples),
         "k_samples": [list(k) for k in report.k_samples],
         "eigenvalues": [
-            [
-                {"re": v.real, "im": v.imag, "arg": float(np.angle(v))}
-                for v in eigen_set
-            ]
-            for eigen_set in report.eigenvalue_sets
+            [{"re": v.real, "im": v.imag, "arg": arg} for v, arg in zip(values, row)]
+            for values, row in zip(report.eigenvalue_sets, args)
         ],
         "k_independent": report.k_independent,
         "matches_roots_of_unity": report.matches_roots_of_unity,

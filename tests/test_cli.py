@@ -2,11 +2,21 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import revivalwalk.config
-from revivalwalk import cli
+from revivalwalk import (
+    MomentumPropagator,
+    build_instance,
+    cli,
+    load_config,
+    random_cyclic_phases,
+    spectrum_sweep,
+    trajectory,
+)
 from revivalwalk.golden import golden_config_text
 
 
@@ -233,6 +243,150 @@ def test_walk_leaving_the_coordinate_range_exits_2_in_one_line(tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "outside the supported coordinate range" in proc.stderr
+
+
+def test_failed_walk_run_leaves_no_file_and_keeps_an_existing_one(tmp_path):
+    config = _swap_walk_from(tmp_path, 2**63 - 1)
+    out, csv_path = tmp_path / "record.json", tmp_path / "probs.csv"
+    for earlier in (None, b"an earlier record\n"):
+        if earlier is not None:
+            out.write_bytes(earlier)
+        proc = run_cli("walk-run", "--config", config, "--out", str(out), "--csv", str(csv_path))
+        assert proc.returncode == 2
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "outside the supported coordinate range" in proc.stderr
+        left = sorted(path.name for path in tmp_path.iterdir())
+        if earlier is None:
+            assert left == ["edge.json"]
+        else:
+            assert left == ["edge.json", "record.json"]
+            assert out.read_bytes() == earlier
+
+
+COMMANDS = [
+    ("coin-build", "--config", "{config}"),
+    ("coin-order", "--config", "{config}"),
+    ("walk-run", "--config", "{config}"),
+    ("walk-period", "--config", "{config}"),
+    ("spectrum", "--config", "{config}", "--samples", "6"),
+    ("reproduce-table", "--which", "3"),
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+def test_out_bytes_equal_stdout_bytes_as_one_compact_line(table2_path, tmp_path, capsysbinary,
+                                                          command):
+    args = [arg.format(config=table2_path) for arg in command]
+    out = tmp_path / "record.json"
+    assert cli.main(args) == 0
+    printed = capsysbinary.readouterr().out
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed
+    text = printed.decode("utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_walk_run_outputs_match_the_trajectory(tmp_path, which):
+    path = tmp_path / "walk.json"
+    path.write_text(golden_config_text(which))
+    out, csv_path = tmp_path / "record.json", tmp_path / "probs.csv"
+    assert cli.main(["walk-run", "--config", str(path), "--out", str(out),
+                     "--csv", str(csv_path)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+
+    config = load_config(path)
+    steps, fidelity, distance, period = [], [], [], None
+    for t, state, f, dist, revived in trajectory(build_instance(config), config.max_steps,
+                                                 config.revival_mode):
+        fidelity.append(f)
+        distance.append(dist)
+        if revived and period is None:
+            period = t
+        rows = [{"position": list(pos), "coin": j + 1, "re": float(amp.real),
+                 "im": float(amp.imag)}
+                for pos, vec in sorted(state.items()) for j, amp in enumerate(vec) if amp != 0]
+        steps.append({"t": t, "state": rows})
+    assert record == {
+        "schema_version": 1, "d": config.d, "n": config.n,
+        "revival_mode": config.revival_mode.value, "max_steps": config.max_steps,
+        "period": period, "fidelity_series": fidelity, "distance_series": distance,
+        "steps": steps,
+    }
+
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(["step", *[f"x{r + 1}" for r in range(config.d)], "probability"])
+    expected = []
+    for entry in record["steps"]:
+        totals = {}
+        for row in entry["state"]:
+            pos = tuple(row["position"])
+            totals[pos] = totals.get(pos, 0.0) + row["re"] ** 2 + row["im"] ** 2
+        expected.extend((entry["t"], pos, totals[pos]) for pos in sorted(totals))
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(row[0]), tuple(map(int, row[1:-1]))) for row in rows] == [
+        (t, pos) for t, pos, _ in expected]
+    assert [float(row[-1]) for row in rows] == [p for _, _, p in expected]  # same sums, same order
+
+
+def test_walk_run_memory_does_not_grow_with_the_step_count(tmp_path):
+    out, csv_path = tmp_path / "record.json", tmp_path / "probs.csv"
+
+    def peak(max_steps):
+        config = json.loads(golden_config_text(3))
+        config["max_steps"] = max_steps
+        path = tmp_path / f"walk{max_steps}.json"
+        path.write_text(json.dumps(config))
+        tracemalloc.start()
+        try:
+            assert cli.main(["walk-run", "--config", str(path), "--out", str(out),
+                             "--csv", str(csv_path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(400)  # warm lazily built caches
+    assert peak(400) <= 2 * peak(100)
+
+
+def _per_eigenvalue_spectrum_record(config, samples, seed):
+    """The spectrum record built one np.angle call per eigenvalue."""
+    prop = MomentumPropagator(coin=config.instance.coin, shifts=config.instance.shifts)
+    report = spectrum_sweep(prop, samples, seed=seed, tol=config.tolerances.mat)
+    return {
+        "schema_version": 1,
+        "n": config.n,
+        "d": config.d,
+        "samples": len(report.k_samples),
+        "k_samples": [list(k) for k in report.k_samples],
+        "eigenvalues": [
+            [{"re": v.real, "im": v.imag, "arg": float(np.angle(v))} for v in eigen_set]
+            for eigen_set in report.eigenvalue_sets
+        ],
+        "k_independent": report.k_independent,
+        "matches_roots_of_unity": report.matches_roots_of_unity,
+    }
+
+
+@pytest.mark.parametrize("d, n, samples", [(1, 3, 8), (3, 16, 300)])
+def test_spectrum_record_equals_the_per_eigenvalue_build_bytewise(tmp_path, d, n, samples):
+    rng = np.random.default_rng(n)
+    menu = [a for a in range(-(n // 2), n // 2 + 1) if a != 0 or n % 2]  # sums to zero
+    config = {
+        "d": d,
+        "n": n,
+        "coin": {"kind": "cyclic", "phases": [float(p) for p in random_cyclic_phases(n, rng)]},
+        "shifts": [[int(a) for a in rng.permutation(menu)] for _ in range(d)],
+        "initial": [{"position": [0] * d, "coin": 1, "amp_re": 1.0, "amp_im": 0.0}],
+    }
+    path, out = tmp_path / "spectrum.json", tmp_path / "record.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["spectrum", "--config", str(path), "--samples", str(samples),
+                     "--seed", "4", "--out", str(out)]) == 0
+    expected = _per_eigenvalue_spectrum_record(load_config(path), samples, 4)
+    assert out.read_bytes() == (json.dumps(expected, separators=(",", ":")) + "\n").encode()
 
 
 def test_stray_and_missing_coin_fields_exit_2_naming_the_field(tmp_path):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -16,7 +17,6 @@ from revivalwalk import (
     evolve,
     golden_config,
     parse_config,
-    probability_csv,
     random_cyclic_phases,
     run_spectrum,
     run_walk,
@@ -36,8 +36,19 @@ def swap_walk_config(**overrides):
     return parse_config(json.dumps(base))
 
 
+def walk_outputs(config):
+    """run_walk's record, parsed, and its probability CSV text."""
+    out, csv = io.StringIO(), io.StringIO()
+    run_walk(config, out, csv)
+    return json.loads(out.getvalue()), csv.getvalue()
+
+
+def walk_record(config):
+    return walk_outputs(config)[0]
+
+
 def test_run_walk_zero_steps_keeps_only_the_initial_state():
-    record = run_walk(swap_walk_config(max_steps=0))
+    record = walk_record(swap_walk_config(max_steps=0))
     assert record["period"] is None
     assert len(record["steps"]) == 1
     assert record["steps"][0]["t"] == 0
@@ -46,7 +57,7 @@ def test_run_walk_zero_steps_keeps_only_the_initial_state():
 
 
 def test_run_walk_record_covers_every_step_past_the_revival():
-    record = run_walk(swap_walk_config())
+    record = walk_record(swap_walk_config())
     assert record["period"] == 2
     assert [entry["t"] for entry in record["steps"]] == list(range(7))
     assert len(record["fidelity_series"]) == 7
@@ -80,7 +91,7 @@ def test_run_walk_and_detect_revival_read_one_trajectory(d, n, max_steps, mode, 
         revival_mode=mode,
     )
     instance = build_instance(config)
-    record = run_walk(config)
+    record = walk_record(config)
     report = detect_revival(instance, max_steps, mode)
     assert record["period"] == report.period
     shared = len(report.fidelity_series)
@@ -98,7 +109,7 @@ def test_run_walk_and_detect_revival_read_one_trajectory(d, n, max_steps, mode, 
 
 
 def test_run_walk_golden_plane_walk():
-    record = run_walk(golden_config(3))
+    record = walk_record(golden_config(3))
     assert record["period"] == 3
     t3 = {(tuple(r["position"]), r["coin"]): complex(r["re"], r["im"])
           for r in record["steps"][3]["state"]}
@@ -109,15 +120,14 @@ def test_run_walk_golden_plane_walk():
 
 
 def test_state_dumps_are_sorted_and_one_based():
-    record = run_walk(golden_config(2))
+    record = walk_record(golden_config(2))
     rows = record["steps"][0]["state"]
     assert [tuple(r["position"]) for r in rows] == [(1,), (2,), (3,)]
     assert [r["coin"] for r in rows] == [3, 2, 1]
 
 
 def test_probability_csv_rows_sum_to_one_per_step():
-    record = run_walk(golden_config(2))
-    text = probability_csv(record)
+    text = walk_outputs(golden_config(2))[1]
     lines = text.strip().split("\n")
     assert lines[0] == "step,x1,probability"
     sums: dict[str, float] = {}
@@ -129,7 +139,7 @@ def test_probability_csv_rows_sum_to_one_per_step():
 
 
 def test_probability_csv_two_dimensional_header():
-    text = probability_csv(run_walk(golden_config(3)))
+    text = walk_outputs(golden_config(3))[1]
     assert text.startswith("step,x1,x2,probability\n")
 
 
