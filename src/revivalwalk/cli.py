@@ -11,8 +11,9 @@ Subcommands::
 
 Exit codes: 0 success (or PASS), 1 golden-table FAIL, 2 config or argument
 error (including a walk whose initial positions lead it out of the signed
-64-bit coordinate range, and a spectrum sweep over its memory budget),
-3 output error (--out or --csv cannot be written).
+64-bit coordinate range, a spectrum sweep over its memory budget, and a
+walk-run --csv naming the --out file), 3 output error (--out or --csv
+cannot be written).
 Records are one line of compact JSON, to --out when given, else stdout.
 walk-run streams its record and CSV while the walk runs. Files are renamed
 into place from ``<path>.partial`` only on success, so a failed command
@@ -103,6 +104,10 @@ def _cmd_coin_order(args) -> int:
 
 
 def _cmd_walk_run(args) -> int:
+    if None not in (args.out, args.csv) and (
+            os.path.realpath(args.out) == os.path.realpath(args.csv)):
+        print(f"argument error: --csv {args.csv} is the --out file", file=sys.stderr)
+        return EXIT_CONFIG
     config = load_config(args.config)
     csv = nullcontext() if args.csv is None else _output(args.csv)
     with _output(args.out) as out, csv as csv_handle:

@@ -9,6 +9,7 @@ in config files.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import TextIO
 
 import numpy as np
@@ -38,14 +39,16 @@ def run_walk(config: WalkConfig, out: TextIO, csv: TextIO | None = None) -> None
     Unlike the early-stopping revival search, the record always covers
     t = 0 .. max_steps so trajectories can be plotted past the revival.
     Each step is encoded as soon as its state exists; ``period`` and the
-    series follow ``steps`` because they are known only at the end.
+    series follow ``steps`` because they are known only at the end. The
+    series are held as doubles and encoded in chunks, so memory stays flat
+    in the step count.
     """
     head = {"schema_version": 1, "d": config.d, "n": config.n,
             "revival_mode": config.revival_mode.value, "max_steps": config.max_steps}
     out.write(json.dumps(head, separators=COMPACT)[:-1] + ',"steps":')
     if csv is not None:
         csv.write(",".join(["step", *[f"x{r + 1}" for r in range(config.d)], "probability"]) + "\n")
-    fidelity, distance, period = [], [], None
+    fidelity, distance, period = array("d"), array("d"), None
     walk = trajectory(build_instance(config), config.max_steps, config.revival_mode)
     for t, state, f, dist, revived in walk:
         fidelity.append(f)
@@ -58,7 +61,11 @@ def run_walk(config: WalkConfig, out: TextIO, csv: TextIO | None = None) -> None
             probability_csv(t, state, csv)
     out.write(f'],"period":{json.dumps(period)}')
     for key, series in (("fidelity_series", fidelity), ("distance_series", distance)):
-        out.write(f',"{key}":' + json.dumps(series, separators=COMPACT))
+        out.write(f',"{key}":[')
+        for i in range(0, len(series), 256):
+            chunk = json.dumps(series[i:i + 256].tolist(), separators=COMPACT)[1:-1]
+            out.write("," + chunk if i else chunk)
+        out.write("]")
     out.write("}\n")
 
 

@@ -97,16 +97,14 @@ def apply_shift(state: WalkState, table: ShiftTable) -> WalkState:
             f"state (d={state.d}, n={state.n}) does not match "
             f"shift table (d={table.d}, n={table.n})"
         )
-    cols = tuple(
-        tuple(table.displacements[r][j] for r in range(table.d)) for j in range(table.n)
-    )
+    cols = list(zip(*table.displacements))  # per coin slot, a d-vector
     moved: dict[Position, np.ndarray] = {}
     for pos, vec in state.items():
         for j in range(state.n):
             amp = vec[j]
             if amp == 0:
                 continue
-            target = tuple(x + a for x, a in zip(pos, cols[j]))
+            target = tuple([x + a for x, a in zip(pos, cols[j])])  # sized once, unlike a genexpr
             if any(abs(c) > COORD_LIMIT for c in target):
                 raise CoordinateOverflowError(
                     f"shift moved position {pos} outside the supported "

@@ -9,13 +9,15 @@ States are value-semantic: every operation returns a new state, the
 amplitude arrays are frozen (non-writeable), and positions whose vectors
 are exactly zero are never stored. Only exact zeros are dropped, never
 tiny amplitudes, so that support structure stays meaningful in revival
-checks.
+checks. Outside input enters through :meth:`WalkState.from_entries`
+(which ``localized`` and the config layer call) and is validated there,
+once; the constructor wraps vectors that the package built, unchecked.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from typing import Union
 
 import numpy as np
@@ -35,33 +37,13 @@ class WalkState:
 
     __slots__ = ("d", "n", "_amps")
 
-    def __init__(self, d: int, n: int, amplitudes: Mapping[Position, np.ndarray]):
-        if d < 1:
-            raise DimensionMismatchError(f"spatial dimension must be >= 1, got {d}")
-        if n < 1:
-            raise DimensionMismatchError(f"coin dimension must be >= 1, got {n}")
+    def __init__(self, d: int, n: int, amplitudes: dict[Position, np.ndarray]):
+        """Keep length-n complex128 vectors the package built, none all zero, and freeze them."""
+        for vec in amplitudes.values():
+            vec.flags.writeable = False
         self.d = d
         self.n = n
-        amps: dict[Position, np.ndarray] = {}
-        for pos, vec in amplitudes.items():
-            key = tuple(int(c) for c in pos)
-            if len(key) != d:
-                raise DimensionMismatchError(
-                    f"position {key} has {len(key)} coordinates, expected {d}"
-                )
-            arr = np.asarray(vec, dtype=np.complex128)
-            if arr.shape != (n,):
-                raise DimensionMismatchError(
-                    f"amplitude vector at {key} has shape {arr.shape}, expected ({n},)"
-                )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"non-finite amplitude at position {key}")
-            if not arr.any():
-                continue  # exact-zero vectors are never stored
-            arr = arr.copy()
-            arr.flags.writeable = False
-            amps[key] = arr
-        self._amps = amps
+        self._amps = amplitudes
 
     # -- constructors -----------------------------------------------------
 
@@ -76,13 +58,22 @@ class WalkState:
     ) -> "WalkState":
         """Build a state from (position, coin index, amplitude) triples.
 
-        Duplicate (position, coin) entries accumulate. Unless ``normalize``
+        Duplicate (position, coin) entries accumulate, and positions whose
+        amplitudes cancel to exact zero are dropped. Unless ``normalize``
         is set, the total norm must already be 1 within ``norm_tol``;
         nothing is ever rescaled silently.
         """
+        if d < 1:
+            raise DimensionMismatchError(f"spatial dimension must be >= 1, got {d}")
+        if n < 1:
+            raise DimensionMismatchError(f"coin dimension must be >= 1, got {n}")
         amps: dict[Position, np.ndarray] = {}
         for pos, coin, amp in entries:
             key = tuple(int(c) for c in pos)
+            if len(key) != d:
+                raise DimensionMismatchError(
+                    f"position {key} has {len(key)} coordinates, expected {d}"
+                )
             coin = int(coin)
             if not 0 <= coin < n:
                 raise DimensionMismatchError(
@@ -90,13 +81,16 @@ class WalkState:
                 )
             vec = amps.setdefault(key, np.zeros(n, dtype=np.complex128))
             vec[coin] += complex(amp)
-        state = cls(d, n, amps)
+        for key, vec in amps.items():
+            if not np.isfinite(vec).all():
+                raise ValueError(f"non-finite amplitude at position {key}")
+        state = cls(d, n, {pos: vec for pos, vec in amps.items() if vec.any()})
         norm = state.norm()
         if normalize:
             if norm == 0.0:
                 raise NormalizationError("cannot normalize the zero state")
-            scaled = {pos: vec / norm for pos, vec in state._amps.items()}
-            return cls(d, n, scaled)
+            scaled = {pos: vec / norm for pos, vec in state.items()}
+            return cls(d, n, {pos: vec for pos, vec in scaled.items() if vec.any()})
         if abs(norm - 1.0) > norm_tol:
             raise NormalizationError(
                 f"state norm {norm!r} is not 1 within {norm_tol:.1e} "
@@ -125,13 +119,6 @@ class WalkState:
         if vec is None:
             return 0j
         return complex(vec[coin])
-
-    def vector_at(self, position: Iterable[int]) -> np.ndarray:
-        """Length-n amplitude vector at a position (zeros if unoccupied)."""
-        vec = self._amps.get(tuple(int(c) for c in position))
-        if vec is None:
-            return np.zeros(self.n, dtype=np.complex128)
-        return vec
 
     def norm(self) -> float:
         total = 0.0
@@ -172,7 +159,8 @@ def l2_distance(a: WalkState, b: WalkState) -> float:
     _check_compatible(a, b)
     total = 0.0
     for pos, vec in a.items():
-        diff = vec - b.vector_at(pos)
+        other = b._amps.get(pos)
+        diff = vec if other is None else vec - other
         total += float(np.vdot(diff, diff).real)
     for pos, vec in b.items():
         if pos not in a._amps:

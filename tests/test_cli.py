@@ -194,6 +194,23 @@ def test_unwritable_output_is_an_output_error(table1_path, tmp_path, flag):
     assert str(target) in proc.stderr
 
 
+@pytest.mark.parametrize("csv_name", ["same", "./same"])
+def test_walk_run_refuses_a_csv_at_the_out_path(
+    table1_path, tmp_path, monkeypatch, capsys, csv_name
+):
+    target = tmp_path / "same"
+    target.write_bytes(b"an earlier file\n")
+    monkeypatch.chdir(tmp_path)
+    argv = ["walk-run", "--config", table1_path, "--out", str(target), "--csv", csv_name]
+    assert cli.main(argv) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("argument error:")
+    assert len(stderr.strip().splitlines()) == 1
+    assert "--csv" in stderr
+    assert target.read_bytes() == b"an earlier file\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["same", "table1.json"]
+
+
 def test_walk_period_with_zero_steps_reports_no_period(tmp_path):
     config = json.loads(golden_config_text(1))
     config["max_steps"] = 0

@@ -3,18 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import fixed_slot_part, random_cyclic_instance, random_sparse_state
+from helpers import (
+    fixed_slot_part,
+    random_cyclic_instance,
+    random_sparse_state,
+    random_unitary,
+    random_zero_sum_row,
+)
 from revivalwalk import (
     DimensionMismatchError,
     NormalizationError,
     RevivalMode,
     WalkInstance,
     WalkState,
+    apply_shift,
     build_custom_coin,
     build_cyclic_coin,
     build_partial_cycle_coin,
     build_shift_table,
+    dense_oracle_evolve,
     detect_revival,
     evolve,
     inner_product,
@@ -330,3 +339,42 @@ def test_walk_instance_validation():
     lopsided = WalkState(1, 2, {(0,): np.array([0.5, 0.0], dtype=complex)})
     with pytest.raises(NormalizationError):
         WalkInstance(coin=coin, shifts=shifts, initial=lopsided)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["cyclic", "partial_cycle", "custom"]),
+    d=st.integers(1, 3),
+    n=st.integers(2, 5),
+    t=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_producers_return_frozen_nonzero_complex_vectors(kind, d, n, t, seed):
+    # The constructor trusts its vectors, so every state the package builds
+    # must already hold what from_entries guarantees for outside input.
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, n + 1)) if kind == "partial_cycle" else n
+    if kind == "cyclic":
+        coin = build_cyclic_coin(random_cyclic_phases(n, rng))
+    elif kind == "partial_cycle":
+        coin = build_partial_cycle_coin(n, r, random_cyclic_phases(r, rng))
+    else:
+        coin = build_custom_coin(random_unitary(n, rng))
+    shifts = build_shift_table([random_zero_sum_row(r, rng, bound=1) + [0] * (n - r)
+                                for _ in range(d)])
+    initial = random_sparse_state(d, n, rng, radius=1, sites=2)
+    instance = WalkInstance(coin=coin, shifts=shifts, initial=initial)
+    produced = [
+        step(initial, instance),
+        evolve(instance, t),
+        apply_shift(initial, shifts),
+        dense_oracle_evolve(instance, t, (1 + t,) * d),
+        *(state for _, state, *_ in trajectory(instance, t)),
+    ]
+    for state in produced:
+        assert (state.d, state.n) == (d, n)
+        for pos, vec in state.items():
+            assert len(pos) == d and all(type(c) is int for c in pos), pos
+            assert vec.dtype == np.complex128 and vec.shape == (n,)
+            assert not vec.flags.writeable
+            assert vec.any(), pos

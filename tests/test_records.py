@@ -20,7 +20,9 @@ from revivalwalk import (
     random_cyclic_phases,
     run_spectrum,
     run_walk,
+    trajectory,
 )
+from revivalwalk.golden import golden_config_text
 
 
 def swap_walk_config(**overrides):
@@ -63,6 +65,20 @@ def test_run_walk_record_covers_every_step_past_the_revival():
     assert len(record["fidelity_series"]) == 7
     # states keep being dumped after the revival
     assert record["steps"][6]["state"]
+
+
+def test_run_walk_series_text_equals_one_encoding_across_chunks():
+    raw = json.loads(golden_config_text(2))
+    raw["max_steps"] = 600
+    config = parse_config(json.dumps(raw))
+    out = io.StringIO()
+    run_walk(config, out)
+    walk = list(trajectory(build_instance(config), 600, config.revival_mode))
+    series = {key: json.dumps([row[i] for row in walk], separators=(",", ":"))
+              for key, i in (("fidelity_series", 2), ("distance_series", 3))}
+    tail = ",".join(f'"{key}":{text}' for key, text in series.items()) + "}\n"
+    assert out.getvalue().endswith(tail)
+    assert len(json.loads(out.getvalue())["fidelity_series"]) == 601
 
 
 @settings(max_examples=40, deadline=None)

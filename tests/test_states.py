@@ -55,29 +55,52 @@ def test_normalize_rejects_zero_state():
 
 
 def test_non_finite_amplitudes_rejected():
-    with pytest.raises(ValueError):
-        WalkState(1, 2, {(0,): np.array([np.nan, 1.0], dtype=complex)})
+    with pytest.raises(ValueError, match="non-finite"):
+        WalkState.from_entries(1, 2, [((0,), 0, complex(math.nan, 0.0))], normalize=True)
+
+
+@pytest.mark.parametrize("imag", [math.inf, -math.inf, math.nan])
+def test_non_finite_imaginary_parts_rejected(imag):
+    with pytest.raises(ValueError, match="non-finite"):
+        WalkState.from_entries(1, 2, [((0,), 0, 1.0), ((3,), 1, complex(0.0, imag))],
+                               normalize=True)
 
 
 def test_exact_zero_vectors_are_pruned():
-    psi = WalkState(1, 2, {(0,): np.array([1.0, 0.0], dtype=complex),
-                           (5,): np.zeros(2, dtype=complex)})
+    psi = WalkState.from_entries(1, 2, [((0,), 0, 1.0), ((5,), 1, 0.0)])
     assert psi.positions() == [(0,)]
     assert psi.amplitude((5,), 0) == 0j
 
 
+def test_entries_that_cancel_are_pruned():
+    entries = [((0,), 0, 1.0), ((5,), 1, 0.25 - 0.5j), ((5,), 1, -0.25 + 0.5j)]
+    for normalize in (False, True):
+        psi = WalkState.from_entries(1, 2, entries, normalize=normalize)
+        assert psi.positions() == [(0,)]
+        assert len(psi) == 1
+
+
+def test_vectors_that_underflow_when_rescaled_are_pruned():
+    psi = WalkState.from_entries(1, 2, [((0,), 0, 1e150), ((1,), 1, 1e-175)], normalize=True)
+    assert psi.positions() == [(0,)]
+    assert psi.norm() == 1.0
+
+
 def test_tiny_amplitudes_survive_by_default():
-    psi = WalkState(1, 2, {(0,): np.array([1.0, 1e-300], dtype=complex)})
+    psi = WalkState.from_entries(1, 2, [((0,), 0, 1.0), ((0,), 1, 1e-300)])
     assert psi.amplitude((0,), 1) == 1e-300
 
 
 def test_amplitude_vectors_are_frozen_and_copied():
-    source = np.array([1.0, 0.0], dtype=complex)
-    psi = WalkState(1, 2, {(0,): source})
-    source[0] = 5.0
+    position = [0]
+    entries = [[position, 0, 1.0]]
+    psi = WalkState.from_entries(1, 2, entries)
+    position[0], entries[0][2] = 7, 5.0
+    assert psi.positions() == [(0,)]
     assert psi.amplitude((0,), 0) == 1.0
+    [(_, vec)] = psi.items()
     with pytest.raises(ValueError):
-        psi.vector_at((0,))[0] = 2.0
+        vec[0] = 2.0
 
 
 def test_coin_index_bounds_checked():
@@ -90,7 +113,14 @@ def test_coin_index_bounds_checked():
 
 def test_position_length_must_match_dimension():
     with pytest.raises(DimensionMismatchError):
-        WalkState(2, 2, {(0,): np.array([1.0, 0.0], dtype=complex)})
+        WalkState.from_entries(2, 2, [((0,), 0, 1.0)])
+
+
+@pytest.mark.parametrize("d,n,position", [(0, 2, ()), (-1, 2, ()), (1, 0, (0,)), (1, -1, (0,))],
+                         ids=["d=0", "d=-1", "n=0", "n=-1"])
+def test_dimensions_must_be_at_least_one(d, n, position):
+    with pytest.raises(DimensionMismatchError, match="must be >= 1"):
+        WalkState.from_entries(d, n, [(position, 0, 1.0)])
 
 
 def test_inner_product_disjoint_supports_is_exact_zero():
