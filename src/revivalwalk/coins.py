@@ -46,7 +46,9 @@ class CoinMatrix:
     """An n x n unitary coin plus its construction metadata.
 
     ``phases`` is present for CYCLIC / PARTIAL_CYCLE kinds (wrapped into
-    (-pi, pi]); ``cycle_length`` is present for PARTIAL_CYCLE.
+    (-pi, pi]); ``cycle_length`` is present for PARTIAL_CYCLE. The cycle
+    and two-state builders are unitary by construction; only a custom
+    matrix is checked (in ``build_custom_coin``).
     """
 
     matrix: np.ndarray
@@ -55,10 +57,7 @@ class CoinMatrix:
     cycle_length: int | None = None
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix)
-        if not is_unitary(m, TOL_MAT):
-            raise NonUnitaryError(f"{self.kind.value} coin matrix is not unitary")
-        m = m.copy()
+        m = as_complex_matrix(self.matrix).copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -101,7 +100,7 @@ def random_cyclic_phases(n: int, rng: np.random.Generator) -> list[float]:
 
 def _check_phase_sum(phases: Sequence[float], tol: float = TOL_PHASE) -> None:
     residual = phase_sum_residual(phases)
-    if abs(residual) > tol:
+    if not abs(residual) <= tol:  # a NaN phase fails too
         raise PhaseSumError(residual, tol)
 
 
@@ -173,4 +172,7 @@ def build_general_coin_1d(theta: float, phi1: float, phi2: float) -> CoinMatrix:
 
 def build_custom_coin(matrix) -> CoinMatrix:
     """Wrap an arbitrary unitary as a coin; no revival structure is assumed."""
-    return CoinMatrix(matrix=as_complex_matrix(matrix), kind=CoinKind.CUSTOM)
+    m = as_complex_matrix(matrix)
+    if not is_unitary(m, TOL_MAT):
+        raise NonUnitaryError("custom coin matrix is not unitary")
+    return CoinMatrix(matrix=m, kind=CoinKind.CUSTOM)

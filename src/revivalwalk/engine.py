@@ -1,17 +1,16 @@
 """Position-space evolution: coin toss, shift, revival detection.
 
-One step multiplies every occupied site's amplitude vector by the coin
-matrix and then relocates each coin slot by its displacement. The coin
-acts first; the tables of amplitudes a walk produces depend on that
-order.
+One step multiplies the amplitude rows of every occupied site by the
+coin matrix, in one matrix product, and then relocates each coin slot by
+its displacement. The coin acts first; the tables of amplitudes a walk
+produces depend on that order.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
 
 from .coins import CoinMatrix
 from .errors import DimensionMismatchError, NormalizationError
@@ -34,7 +33,7 @@ class WalkInstance:
     coin: CoinMatrix
     shifts: ShiftTable
     initial: WalkState
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    tolerances: Tolerances = Tolerances()
 
     def __post_init__(self) -> None:
         if self.coin.n != self.shifts.n or self.coin.n != self.initial.n:
@@ -76,9 +75,8 @@ def step(state: WalkState, instance: WalkInstance) -> WalkState:
             f"state (d={state.d}, n={state.n}) does not match instance "
             f"(d={instance.shifts.d}, n={instance.coin.n})"
         )
-    coin = instance.coin.matrix
-    tossed = {pos: coin @ vec for pos, vec in state.items()}
-    return apply_shift(WalkState(state.d, state.n, tossed), instance.shifts)
+    tossed = WalkState(state.coords, state.amps @ instance.coin.matrix.T)
+    return apply_shift(tossed, instance.shifts)
 
 
 def evolve(instance: WalkInstance, t: int) -> WalkState:
@@ -134,7 +132,4 @@ def detect_revival(
 
 def probability_distribution(state: WalkState) -> dict[Position, float]:
     """Per-position probability: re^2 + im^2 of each slot, added in slot order."""
-    return {
-        pos: reduce(lambda p, a: p + a.real ** 2 + a.imag ** 2, vec.tolist(), 0.0)
-        for pos, vec in state.items()
-    }
+    return dict(zip(state.positions(), state.probabilities().tolist()))

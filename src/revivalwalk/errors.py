@@ -49,7 +49,7 @@ class NonUnitaryError(ValueError):
 
 
 class CoordinateOverflowError(OverflowError):
-    """A shifted lattice coordinate left the supported integer range."""
+    """A lattice coordinate is, or a shift would move it, outside the supported integer range."""
 
 
 class WindowTooSmallError(ValueError):

@@ -21,9 +21,11 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .config import WalkConfig, build_instance, parse_config
 from .engine import trajectory
-from .states import Position, WalkState
+from .states import Position, WalkState, difference
 
 GOLDEN_TOLERANCE = 1e-12
 
@@ -77,16 +79,13 @@ def golden_config(which: int) -> WalkConfig:
 
 def state_deviation(state: WalkState, expected: ExpectedStep) -> float:
     """Max |actual - expected| over the union of supports."""
-    listed = set()
-    worst = 0.0
+    keys = sorted({pos for pos, _, _ in expected})
+    row = {pos: i for i, pos in enumerate(keys)}
+    amps = np.zeros((len(keys), state.n), dtype=np.complex128)
     for pos, coin, amp in expected:
-        listed.add((pos, coin))
-        worst = max(worst, abs(state.amplitude(pos, coin) - amp))
-    for pos, vec in state.items():
-        for coin in range(state.n):
-            if vec[coin] != 0 and (pos, coin) not in listed:
-                worst = max(worst, abs(vec[coin]))
-    return worst
+        amps[row[pos], coin] = amp
+    table = WalkState(np.array(keys, dtype=np.int64).reshape(-1, state.d), amps)
+    return float(np.abs(difference(state, table)).max(initial=0.0))
 
 
 @dataclass(frozen=True)

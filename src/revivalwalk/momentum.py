@@ -239,9 +239,9 @@ def spectrum_sweep(
 
 
 def _required_half_widths(instance: WalkInstance, t: int) -> tuple[int, ...]:
-    positions = instance.initial.positions()
-    return tuple(max(abs(pos[r]) for pos in positions) + max(map(abs, row)) * t
-                 for r, row in enumerate(instance.shifts.displacements))
+    widest = np.abs(instance.initial.coords).max(axis=0, initial=0).tolist()
+    return tuple(w + max(map(abs, row)) * t
+                 for w, row in zip(widest, instance.shifts.displacements))
 
 
 def dense_oracle_evolve(
@@ -292,10 +292,11 @@ def dense_oracle_evolve(
     rows, sources, values = np.array(rows), np.array(sources), np.array(values, dtype=complex)
 
     vec = np.zeros(size, dtype=np.complex128)
-    for pos, amps in instance.initial.items():
-        vec.reshape(-1, n)[index[pos]] = amps
+    vec.reshape(-1, n)[[index[pos] for pos in instance.initial.positions()]] = instance.initial.amps
     for _ in range(t):
         terms = values * vec[sources]
         vec = np.bincount(rows, terms.real, size) + 1j * np.bincount(rows, terms.imag, size)
+    # The window is enumerated in lexicographic order, so its sites are already sorted.
     blocks = vec.reshape(-1, n)
-    return WalkState(d, n, {pos: blocks[ip] for pos, ip in index.items() if blocks[ip].any()})
+    keep = blocks.any(axis=1)
+    return WalkState(np.array(list(index), dtype=np.int64).reshape(-1, d)[keep], blocks[keep])

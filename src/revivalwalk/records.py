@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from .config import WalkConfig, build_instance
-from .engine import probability_distribution, trajectory
+from .engine import trajectory
 from .momentum import MomentumPropagator, spectrum_sweep
 from .states import WalkState
 
@@ -25,9 +25,8 @@ COMPACT = (",", ":")
 
 def _state_dump(state: WalkState) -> list[dict]:
     rows = []
-    for pos, vec in sorted(state.items()):
-        position = list(pos)
-        for coin, amp in enumerate(vec.tolist(), 1):
+    for position, vec in zip(state.coords.tolist(), state.amps.tolist()):
+        for coin, amp in enumerate(vec, 1):
             if amp:
                 rows.append({"position": position, "coin": coin, "re": amp.real, "im": amp.imag})
     return rows
@@ -75,9 +74,9 @@ def probability_csv(t: int, state: WalkState, csv: TextIO) -> None:
     One row per occupied position, in sorted order; the probability is
     summed over coin slots, so each step's rows sum to 1 up to rounding.
     """
-    probabilities = probability_distribution(state)
     csv.writelines(
-        f"{t},{','.join(map(str, pos))},{probabilities[pos]!r}\n" for pos in sorted(probabilities)
+        f"{t},{','.join(map(str, pos))},{p!r}\n"
+        for pos, p in zip(state.coords.tolist(), state.probabilities().tolist())
     )
 
 

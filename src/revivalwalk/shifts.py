@@ -12,11 +12,12 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CoordinateOverflowError, DimensionMismatchError, ZeroSumError
-from .states import COORD_LIMIT, Position, WalkState
+from .states import COORD_LIMIT, WalkState, sort_rows
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,18 @@ class ShiftTable:
     @property
     def n(self) -> int:
         return len(self.displacements[0])
+
+    @cached_property
+    def reach(self) -> int:
+        """Largest |displacement| in the table."""
+        return max(abs(a) for row in self.displacements for a in row)
+
+    @cached_property
+    def moves(self) -> np.ndarray:
+        """n x d int64 array: row j is slot j's displacement vector (needs ``reach`` < 2^63)."""
+        moves = np.array(self.displacements, dtype=np.int64).T.copy()
+        moves.flags.writeable = False
+        return moves
 
 
 def build_shift_table(displacements: Sequence[Sequence[int]]) -> ShiftTable:
@@ -89,30 +102,42 @@ def apply_shift(state: WalkState, table: ShiftTable) -> WalkState:
 
     Pure relocation: the multiset of amplitudes is unchanged, so the norm
     is preserved exactly and flipping every displacement's sign inverts
-    the move. A coordinate leaving the signed 64-bit range raises instead
-    of wrapping; a wrapped lattice would fake recurrences.
+    the move. Two amplitudes that land on one position come from
+    different slots (positions are unique), so the merge only places
+    them. A coordinate leaving the signed 64-bit range raises instead of
+    wrapping; a wrapped lattice would fake recurrences.
     """
     if state.d != table.d or state.n != table.n:
         raise DimensionMismatchError(
             f"state (d={state.d}, n={state.n}) does not match "
             f"shift table (d={table.d}, n={table.n})"
         )
+    coords = state.coords
+    rows, slots = np.nonzero(state.amps)
+    widest = max(int(coords.max(initial=0)), -int(coords.min(initial=0)))
+    if widest + table.reach <= COORD_LIMIT:
+        targets = coords[rows] + table.moves[slots]
+    else:
+        targets = _exact_targets(coords, rows, slots, table)
+    order, targets, first = sort_rows(targets)
+    rows, slots, site = rows[order], slots[order], np.cumsum(first) - 1
+    amps = np.zeros((np.count_nonzero(first), state.n), dtype=np.complex128)
+    amps[site, slots] = state.amps[rows, slots]
+    return WalkState(targets[first], amps)
+
+
+def _exact_targets(coords: np.ndarray, rows: np.ndarray, slots: np.ndarray,
+                   table: ShiftTable) -> np.ndarray:
+    """Targets of the moved (row, slot) amplitudes, checked one by one in Python ints."""
     cols = list(zip(*table.displacements))  # per coin slot, a d-vector
-    moved: dict[Position, np.ndarray] = {}
-    for pos, vec in state.items():
-        for j in range(state.n):
-            amp = vec[j]
-            if amp == 0:
-                continue
-            target = tuple([x + a for x, a in zip(pos, cols[j])])  # sized once, unlike a genexpr
-            if any(abs(c) > COORD_LIMIT for c in target):
-                raise CoordinateOverflowError(
-                    f"shift moved position {pos} outside the supported "
-                    f"coordinate range (slot {j}, displacement {cols[j]})"
-                )
-            slot = moved.get(target)
-            if slot is None:
-                slot = np.zeros(state.n, dtype=np.complex128)
-                moved[target] = slot
-            slot[j] += amp
-    return WalkState(state.d, state.n, moved)
+    positions = coords.tolist()
+    targets = []
+    for i, j in zip(rows.tolist(), slots.tolist()):
+        target = [x + a for x, a in zip(positions[i], cols[j])]
+        if any(abs(c) > COORD_LIMIT for c in target):
+            raise CoordinateOverflowError(
+                f"shift moved position {tuple(positions[i])} outside the supported "
+                f"coordinate range (slot {j}, displacement {cols[j]})"
+            )
+        targets.append(target)
+    return np.array(targets, dtype=np.int64).reshape(-1, coords.shape[1])

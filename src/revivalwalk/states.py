@@ -1,17 +1,19 @@
 """Sparse coin-walker states on d-dimensional integer lattices.
 
-A :class:`WalkState` maps occupied lattice positions (tuples of ints) to
-dense length-n complex amplitude vectors, one slot per coin basis state.
-Coin indices are 0-based throughout the Python API; the JSON config layer
-speaks 1-based indices to match the usual bra-ket labelling.
+A :class:`WalkState` holds its occupied lattice positions as an S x d
+``int64`` array, sorted lexicographically with no repeats, and their
+amplitudes as an S x n ``complex128`` array, one row per position and
+one column per coin basis state. Coin indices are 0-based throughout the
+Python API; the JSON config layer speaks 1-based indices to match the
+usual bra-ket labelling.
 
-States are value-semantic: every operation returns a new state, the
-amplitude arrays are frozen (non-writeable), and positions whose vectors
-are exactly zero are never stored. Only exact zeros are dropped, never
-tiny amplitudes, so that support structure stays meaningful in revival
-checks. Outside input enters through :meth:`WalkState.from_entries`
-(which ``localized`` and the config layer call) and is validated there,
-once; the constructor wraps vectors that the package built, unchecked.
+States are value-semantic: every operation returns a new state, both
+arrays are frozen (non-writeable), and rows that are exactly zero are
+never stored. Only exact zeros are dropped, never tiny amplitudes, so
+that support structure stays meaningful in revival checks. Outside input
+enters through :meth:`WalkState.from_entries` (which ``localized`` and
+the config layer call) and is validated there, once; the constructor
+wraps arrays that the package built, unchecked.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NormalizationError
+from .errors import CoordinateOverflowError, DimensionMismatchError, NormalizationError
 from .tolerances import TOL_NORM
 
 Position = tuple[int, ...]
@@ -33,17 +35,22 @@ COORD_LIMIT = 2**63 - 1
 
 
 class WalkState:
-    """Sparse map from lattice positions to length-n amplitude vectors."""
+    """Sorted lattice positions with one length-n amplitude row each."""
 
-    __slots__ = ("d", "n", "_amps")
+    __slots__ = ("d", "n", "coords", "amps")
 
-    def __init__(self, d: int, n: int, amplitudes: dict[Position, np.ndarray]):
-        """Keep length-n complex128 vectors the package built, none all zero, and freeze them."""
-        for vec in amplitudes.values():
-            vec.flags.writeable = False
-        self.d = d
-        self.n = n
-        self._amps = amplitudes
+    def __init__(self, coords: np.ndarray, amps: np.ndarray):
+        """Keep arrays the package built and freeze them.
+
+        ``coords`` is S x d ``int64``, lexicographically sorted and unique;
+        ``amps`` is S x n ``complex128`` with no all-zero row.
+        """
+        coords.flags.writeable = False
+        amps.flags.writeable = False
+        self.d = coords.shape[1]
+        self.n = amps.shape[1]
+        self.coords = coords
+        self.amps = amps
 
     # -- constructors -----------------------------------------------------
 
@@ -67,9 +74,10 @@ class WalkState:
             raise DimensionMismatchError(f"spatial dimension must be >= 1, got {d}")
         if n < 1:
             raise DimensionMismatchError(f"coin dimension must be >= 1, got {n}")
-        amps: dict[Position, np.ndarray] = {}
+        rows: dict[Position, list[complex]] = {}
+        pruned = False
         for pos, coin, amp in entries:
-            key = tuple(int(c) for c in pos)
+            key = tuple(map(int, pos))
             if len(key) != d:
                 raise DimensionMismatchError(
                     f"position {key} has {len(key)} coordinates, expected {d}"
@@ -79,18 +87,37 @@ class WalkState:
                 raise DimensionMismatchError(
                     f"coin index {coin} out of range for coin dimension {n}"
                 )
-            vec = amps.setdefault(key, np.zeros(n, dtype=np.complex128))
-            vec[coin] += complex(amp)
-        for key, vec in amps.items():
-            if not np.isfinite(vec).all():
-                raise ValueError(f"non-finite amplitude at position {key}")
-        state = cls(d, n, {pos: vec for pos, vec in amps.items() if vec.any()})
-        norm = state.norm()
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0j] * n
+            row[coin] += complex(amp)
+            if not row[coin]:
+                pruned = True  # a zero entry or a cancellation may have emptied the row
+        keys = list(rows)
+        amps = np.array(list(rows.values()), dtype=np.complex128).reshape(-1, n)
+        norm = math.sqrt(float(np.vdot(amps, amps).real))
+        if not math.isfinite(norm):  # any non-finite entry makes the norm non-finite
+            finite = np.isfinite(amps).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"non-finite amplitude at position {keys[int(finite.argmin())]}")
+        try:
+            coords = np.array(keys, dtype=np.int64).reshape(-1, d)
+            inside = coords.min(initial=0) >= -COORD_LIMIT  # int64 also holds -2^63
+        except OverflowError:
+            inside = False
+        if not inside:
+            key = next(k for k in keys if any(abs(c) > COORD_LIMIT for c in k))
+            raise CoordinateOverflowError(f"position {key} is outside the supported coordinate range")
+        if len(keys) > 1:
+            order = np.lexsort(coords.T[::-1])
+            coords, amps = coords[order], amps[order]
+        state = cls(coords, amps)
+        if pruned:
+            state = state._nonzero_rows()
         if normalize:
             if norm == 0.0:
                 raise NormalizationError("cannot normalize the zero state")
-            scaled = {pos: vec / norm for pos, vec in state.items()}
-            return cls(d, n, {pos: vec for pos, vec in scaled.items() if vec.any()})
+            return cls(state.coords, state.amps / norm)._nonzero_rows()
         if abs(norm - 1.0) > norm_tol:
             raise NormalizationError(
                 f"state norm {norm!r} is not 1 within {norm_tol:.1e} "
@@ -103,35 +130,46 @@ class WalkState:
         """Unit amplitude on a single coin state at a single position."""
         return cls.from_entries(d, n, [(tuple(position), coin, 1.0)])
 
+    def _nonzero_rows(self) -> "WalkState":
+        keep = self.amps.any(axis=1)
+        return self if keep.all() else WalkState(self.coords[keep], self.amps[keep])
+
     # -- accessors ---------------------------------------------------------
 
     def positions(self) -> list[Position]:
-        return list(self._amps.keys())
+        return list(map(tuple, self.coords.tolist()))
 
-    def items(self):
-        return self._amps.items()
+    def items(self) -> list[tuple[Position, np.ndarray]]:
+        """(position, amplitude row) pairs in sorted position order."""
+        return list(zip(self.positions(), self.amps))
 
     def amplitude(self, position: Iterable[int], coin: int) -> complex:
         """Amplitude at (position, coin); exact 0 for unoccupied slots."""
         if not 0 <= coin < self.n:
             raise DimensionMismatchError(f"coin index {coin} out of range")
-        vec = self._amps.get(tuple(int(c) for c in position))
-        if vec is None:
+        key = tuple(map(int, position))
+        if len(key) != self.d or any(abs(c) > COORD_LIMIT for c in key):
             return 0j
-        return complex(vec[coin])
+        hit = np.flatnonzero((self.coords == key).all(axis=1))
+        return complex(self.amps[hit[0], coin]) if len(hit) else 0j
 
     def norm(self) -> float:
-        total = 0.0
-        for vec in self._amps.values():
-            total += float(np.vdot(vec, vec).real)
-        return math.sqrt(total)
+        return math.sqrt(float(np.vdot(self.amps, self.amps).real))
+
+    def probabilities(self) -> np.ndarray:
+        """Per-row probability: re^2 + im^2 of each slot, added in slot order."""
+        re, im = self.amps.real, self.amps.imag
+        p = np.zeros(len(self.amps))
+        for j in range(self.n):
+            p = p + re[:, j] ** 2 + im[:, j] ** 2
+        return p
 
     def __len__(self) -> int:
-        return len(self._amps)
+        return len(self.coords)
 
     def __repr__(self) -> str:
         return (
-            f"WalkState(d={self.d}, n={self.n}, sites={len(self._amps)}, "
+            f"WalkState(d={self.d}, n={self.n}, sites={len(self)}, "
             f"norm={self.norm():.6f})"
         )
 
@@ -143,26 +181,47 @@ def _check_compatible(a: WalkState, b: WalkState) -> None:
         )
 
 
+def sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable lexicographic sort of the rows of an integer array.
+
+    Returns the order, the sorted rows, and a mask of the sorted rows that
+    start a run of equal rows.
+    """
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    return order, keys, first
+
+
+def _shared_rows(a: WalkState, b: WalkState) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (in a, in b) of the positions both states occupy, in sorted order.
+
+    Both coordinate arrays are sorted and unique, so after a stable sort of
+    their concatenation a shared position is a run of two rows, a's first.
+    """
+    order, _, first = sort_rows(np.concatenate((a.coords, b.coords)))
+    same = ~first[1:]
+    return order[:-1][same], order[1:][same] - len(a)
+
+
 def inner_product(a: WalkState, b: WalkState) -> complex:
     """<a|b> over the shared support; conjugation is on the first argument."""
     _check_compatible(a, b)
-    total = 0j
-    for pos, vec in a.items():
-        other = b._amps.get(pos)
-        if other is not None:
-            total += complex(np.vdot(vec, other))
-    return total
+    ia, ib = _shared_rows(a, b)
+    return complex(np.vdot(a.amps[ia], b.amps[ib]))
+
+
+def difference(a: WalkState, b: WalkState) -> np.ndarray:
+    """Rows of a - b, one per position in either support (missing rows are 0)."""
+    _check_compatible(a, b)
+    ia, ib = _shared_rows(a, b)
+    only_a, only_b = np.ones(len(a), dtype=bool), np.ones(len(b), dtype=bool)
+    only_a[ia] = only_b[ib] = False
+    return np.concatenate((a.amps[ia] - b.amps[ib], a.amps[only_a], -b.amps[only_b]))
 
 
 def l2_distance(a: WalkState, b: WalkState) -> float:
     """l2 norm of a - b over the union of supports (missing slots are 0)."""
-    _check_compatible(a, b)
-    total = 0.0
-    for pos, vec in a.items():
-        other = b._amps.get(pos)
-        diff = vec if other is None else vec - other
-        total += float(np.vdot(diff, diff).real)
-    for pos, vec in b.items():
-        if pos not in a._amps:
-            total += float(np.vdot(vec, vec).real)
-    return math.sqrt(total)
+    diff = difference(a, b)
+    return math.sqrt(float(np.vdot(diff, diff).real))

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import subprocess
@@ -356,6 +357,7 @@ def test_walk_run_memory_does_not_grow_with_the_step_count(tmp_path):
         config["max_steps"] = max_steps
         path = tmp_path / f"walk{max_steps}.json"
         path.write_text(json.dumps(config))
+        gc.collect()  # empty the free lists that earlier tests filled, which tracemalloc counts
         tracemalloc.start()
         try:
             assert cli.main(["walk-run", "--config", str(path), "--out", str(out),
@@ -366,6 +368,21 @@ def test_walk_run_memory_does_not_grow_with_the_step_count(tmp_path):
 
     peak(400)  # warm lazily built caches
     assert peak(400) <= 2 * peak(100)
+
+
+def test_walks_leave_numpy_ma_unimported(table1_path, tmp_path):
+    # numpy.ma (pulled in by np.unique(axis=0)) costs about 1 MB of peak memory.
+    script = (
+        "import sys\n"
+        "from revivalwalk import cli\n"
+        f"assert cli.main(['walk-period', '--config', {table1_path!r}, '--out', {str(tmp_path / 'p.json')!r}]) == 0\n"
+        f"assert cli.main(['walk-run', '--config', {table1_path!r}, '--out', {str(tmp_path / 'r.json')!r}, "
+        f"'--csv', {str(tmp_path / 'r.csv')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _per_eigenvalue_spectrum_record(config, samples, seed):

@@ -336,7 +336,7 @@ def test_walk_instance_validation():
         WalkInstance(coin=coin, shifts=shifts, initial=WalkState.localized(1, 3, (0,), 0))
     with pytest.raises(DimensionMismatchError):
         WalkInstance(coin=coin, shifts=shifts, initial=WalkState.localized(2, 2, (0, 0), 0))
-    lopsided = WalkState(1, 2, {(0,): np.array([0.5, 0.0], dtype=complex)})
+    lopsided = WalkState(np.array([[0]], dtype=np.int64), np.array([[0.5, 0.0]], dtype=complex))
     with pytest.raises(NormalizationError):
         WalkInstance(coin=coin, shifts=shifts, initial=lopsided)
 
@@ -350,7 +350,7 @@ def test_walk_instance_validation():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_producers_return_frozen_nonzero_complex_vectors(kind, d, n, t, seed):
-    # The constructor trusts its vectors, so every state the package builds
+    # The constructor trusts its arrays, so every state the package builds
     # must already hold what from_entries guarantees for outside input.
     rng = np.random.default_rng(seed)
     r = int(rng.integers(2, n + 1)) if kind == "partial_cycle" else n
@@ -373,8 +373,40 @@ def test_producers_return_frozen_nonzero_complex_vectors(kind, d, n, t, seed):
     ]
     for state in produced:
         assert (state.d, state.n) == (d, n)
+        assert state.coords.dtype == np.int64 and state.coords.shape == (len(state), d)
+        assert state.amps.dtype == np.complex128 and state.amps.shape == (len(state), n)
+        assert not state.coords.flags.writeable and not state.amps.flags.writeable
+        assert state.amps.any(axis=1).all()
+        assert state.positions() == sorted(set(state.positions()))  # sorted and unique
         for pos, vec in state.items():
             assert len(pos) == d and all(type(c) is int for c in pos), pos
             assert vec.dtype == np.complex128 and vec.shape == (n,)
             assert not vec.flags.writeable
             assert vec.any(), pos
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["cyclic", "custom"]),
+    d=st.integers(1, 3),
+    n=st.integers(2, 5),
+    t=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stepping_matches_the_dense_oracle(kind, d, n, t, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "cyclic":
+        coin = build_cyclic_coin(random_cyclic_phases(n, rng))
+    else:
+        coin = build_custom_coin(random_unitary(n, rng))
+    shifts = build_shift_table([random_zero_sum_row(n, rng, bound=1) for _ in range(d)])
+    # Slot 0 from the origin and slot 1 from a_0 - a_1 land on one site after
+    # the first step, so the merge of colliding sites is always exercised.
+    meet = tuple(row[0] - row[1] for row in shifts.displacements)
+    entries = [(pos, j, complex(*rng.normal(size=2))) for pos in {(0,) * d, meet}
+               for j in range(n)]
+    instance = WalkInstance(coin=coin, shifts=shifts,
+                            initial=WalkState.from_entries(d, n, entries, normalize=True))
+    window = tuple(max(abs(c) for c in meet) + t for _ in range(d))
+    dense = dense_oracle_evolve(instance, t, window)
+    assert l2_distance(evolve(instance, t), dense) <= 1e-12

@@ -159,6 +159,48 @@ def test_coordinate_overflow_detected():
         apply_shift(state, table)
 
 
+def test_edge_site_moving_inward_steps_without_error():
+    table = build_shift_table([(1, -1)])
+    moved = apply_shift(WalkState.localized(1, 2, (2**63 - 1,), 1), table)
+    assert moved.positions() == [(2**63 - 2,)]
+    assert moved.amplitude((2**63 - 2,), 1) == 1.0
+
+
+def test_moving_past_the_negative_limit_raises_instead_of_reaching_int64_min():
+    # -(2^63 - 1) - 1 = -2^63 still fits in int64, but lies outside the range.
+    table = build_shift_table([(-1, 1)])
+    with pytest.raises(CoordinateOverflowError) as info:
+        apply_shift(WalkState.localized(1, 2, (-(2**63 - 1),), 0), table)
+    assert str(info.value) == (
+        f"shift moved position {(-(2**63 - 1),)} outside the supported coordinate range "
+        f"(slot 0, displacement (-1,))"
+    )
+
+
+def test_overflow_in_three_dimensions_names_the_first_offending_site_and_slot():
+    table = build_shift_table([(1, -1), (-1, 1), (2, -2)])
+    edge = (5, -(2**63 - 1), 0)
+    inward = WalkState.from_entries(3, 2, [((0, 0, 0), 0, 0.6), (edge, 1, 0.8)])
+    moved = apply_shift(inward, table)
+    assert moved.positions() == [(1, -1, 2), (4, -(2**63 - 2), -2)]
+    later = (7, -(2**63 - 1), 0)
+    outward = WalkState.from_entries(
+        3, 2, [(later, 0, 1.0), ((0, 0, 0), 1, 1.0), (edge, 0, 1.0), (edge, 1, 1.0)],
+        normalize=True)
+    with pytest.raises(CoordinateOverflowError) as info:
+        apply_shift(outward, table)
+    assert str(info.value) == (
+        f"shift moved position {edge} outside the supported coordinate range "
+        f"(slot 0, displacement (1, -1, 2))"
+    )
+
+
+@pytest.mark.parametrize("coordinate", [2**63, -(2**63), 2**70])
+def test_states_refuse_coordinates_outside_the_range(coordinate):
+    with pytest.raises(CoordinateOverflowError, match="outside the supported coordinate range"):
+        WalkState.localized(2, 2, (0, coordinate), 0)
+
+
 def test_apply_shift_dimension_checks():
     table = build_shift_table([(1, -1)])
     with pytest.raises(DimensionMismatchError):

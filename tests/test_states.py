@@ -170,5 +170,5 @@ def test_unitary_coin_mixing_preserves_norm(n):
     rng = np.random.default_rng(n + 100)
     u = random_unitary(n, rng)
     psi = random_sparse_state(1, n, rng, sites=4)
-    mixed = WalkState(1, n, {pos: u @ vec for pos, vec in psi.items()})
+    mixed = WalkState(psi.coords, psi.amps @ u.T)
     assert abs(mixed.norm() - 1.0) <= 1e-12
