@@ -19,7 +19,7 @@ import math
 import re
 import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import Union
 
@@ -96,7 +96,7 @@ class WalkConfig:
     initial: tuple[InitialEntry, ...]
     normalize: bool = False
     max_steps: int = 16
-    tolerances: Tolerances = Tolerances()  # frozen, so one shared default is safe
+    tolerances: Tolerances = field(default_factory=Tolerances)
     revival_mode: RevivalMode = RevivalMode.EXACT
     seed: int = 0
 
@@ -251,20 +251,19 @@ def _parse_initial(obj, d: int, n: int) -> tuple[InitialEntry, ...]:
         path = f"initial[{i}]"
         if not isinstance(item, Mapping):
             raise ConfigError(path, "expected an object")
-        prefix = f"{path}."
-        _check_keys(item, _ENTRY_KEYS, prefix)
-        pos_raw = _require(item, "position", prefix)
+        _check_keys(item, _ENTRY_KEYS, f"{path}.")
+        pos_raw = _require(item, "position", f"{path}.")
         if not isinstance(pos_raw, Sequence) or isinstance(pos_raw, str) or len(pos_raw) != d:
             raise ConfigError(f"{path}.position", f"expected {d} integer coordinate(s)")
         position = tuple(
             _as_int(c, f"{path}.position[{j}]", -COORD_LIMIT, COORD_LIMIT)
             for j, c in enumerate(pos_raw)
         )
-        coin = _as_int(_require(item, "coin", prefix), f"{path}.coin")
+        coin = _as_int(_require(item, "coin", f"{path}."), f"{path}.coin")
         if not 1 <= coin <= n:
             raise ConfigError(f"{path}.coin", f"coin label must be in 1..{n}, got {coin}")
-        amp_re = _as_number(_require(item, "amp_re", prefix), f"{path}.amp_re")
-        amp_im = _as_number(_require(item, "amp_im", prefix), f"{path}.amp_im")
+        amp_re = _as_number(_require(item, "amp_re", f"{path}."), f"{path}.amp_re")
+        amp_im = _as_number(_require(item, "amp_im", f"{path}."), f"{path}.amp_im")
         entries.append(InitialEntry(position, coin, amp_re, amp_im))
     return tuple(entries)
 
@@ -337,7 +336,7 @@ def parse_config(text: Union[bytes, str]) -> WalkConfig:
 
 def load_config(path) -> WalkConfig:
     try:
-        with open(path, "rb", buffering=0) as handle:  # one read needs no buffered reader
+        with open(path, "rb") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError("<config>", f"cannot read {path}: {exc.strerror}") from exc

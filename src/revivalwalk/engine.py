@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coins import CoinMatrix
 from .errors import DimensionMismatchError, NormalizationError
 from .shifts import ShiftTable, apply_shift
-from .states import Position, WalkState, inner_product, l2_distance
+from .states import Position, WalkState, inner_product, l2_distance, shared_rows
 from .tolerances import Tolerances
 
 
@@ -33,7 +33,7 @@ class WalkInstance:
     coin: CoinMatrix
     shifts: ShiftTable
     initial: WalkState
-    tolerances: Tolerances = Tolerances()
+    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self) -> None:
         if self.coin.n != self.shifts.n or self.coin.n != self.initial.n:
@@ -105,8 +105,9 @@ def trajectory(
     yield 0, state, abs(inner_product(initial, initial)), 0.0, False
     for t in range(1, max_steps + 1):
         state = step(state, instance)
-        f = abs(inner_product(initial, state))
-        d = l2_distance(state, initial)
+        shared = shared_rows(initial, state)
+        f = abs(inner_product(initial, state, shared))
+        d = l2_distance(state, initial, shared[::-1])
         yield t, state, f, d, (d if mode is RevivalMode.EXACT else 1.0 - f) <= tol
 
 

@@ -79,12 +79,10 @@ def golden_config(which: int) -> WalkConfig:
 
 def state_deviation(state: WalkState, expected: ExpectedStep) -> float:
     """Max |actual - expected| over the union of supports."""
-    keys = sorted({pos for pos, _, _ in expected})
-    row = {pos: i for i, pos in enumerate(keys)}
-    amps = np.zeros((len(keys), state.n), dtype=np.complex128)
+    rows: dict = {}
     for pos, coin, amp in expected:
-        amps[row[pos], coin] = amp
-    table = WalkState(np.array(keys, dtype=np.int64).reshape(-1, state.d), amps)
+        rows.setdefault(pos, [0j] * state.n)[coin] = amp
+    table = WalkState(state.d, state.n, rows)
     return float(np.abs(difference(state, table)).max(initial=0.0))
 
 

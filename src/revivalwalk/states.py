@@ -19,7 +19,7 @@ wraps arrays that the package built, unchecked.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from typing import Union
 
 import numpy as np
@@ -39,12 +39,26 @@ class WalkState:
 
     __slots__ = ("d", "n", "coords", "amps")
 
-    def __init__(self, coords: np.ndarray, amps: np.ndarray):
+    def __init__(
+        self,
+        coords: np.ndarray | int,
+        amps: np.ndarray | int,
+        rows: Mapping[Position, Iterable[complex]] | None = None,
+    ):
         """Keep arrays the package built and freeze them.
 
         ``coords`` is S x d ``int64``, lexicographically sorted and unique;
-        ``amps`` is S x n ``complex128`` with no all-zero row.
+        ``amps`` is S x n ``complex128`` with no all-zero row. The mapping
+        form ``WalkState(d, n, rows)`` takes {position: length-n amplitude
+        row}, no row all zero, and sorts it into the two arrays.
         """
+        if rows is not None:
+            d, n = coords, amps
+            coords = np.array(list(rows), dtype=np.int64).reshape(-1, d)
+            amps = np.array(list(rows.values()), dtype=np.complex128).reshape(-1, n)
+            if len(coords) > 1:
+                order, coords, _ = sort_rows(coords)
+                amps = amps[order]
         coords.flags.writeable = False
         amps.flags.writeable = False
         self.d = coords.shape[1]
@@ -93,25 +107,21 @@ class WalkState:
             row[coin] += complex(amp)
             if not row[coin]:
                 pruned = True  # a zero entry or a cancellation may have emptied the row
-        keys = list(rows)
-        amps = np.array(list(rows.values()), dtype=np.complex128).reshape(-1, n)
-        norm = math.sqrt(float(np.vdot(amps, amps).real))
-        if not math.isfinite(norm):  # any non-finite entry makes the norm non-finite
-            finite = np.isfinite(amps).all(axis=1)
-            if not finite.all():
-                raise ValueError(f"non-finite amplitude at position {keys[int(finite.argmin())]}")
         try:
-            coords = np.array(keys, dtype=np.int64).reshape(-1, d)
-            inside = coords.min(initial=0) >= -COORD_LIMIT  # int64 also holds -2^63
+            state = cls(d, n, rows)
+            inside = state.coords.min(initial=0) >= -COORD_LIMIT  # int64 also holds -2^63
         except OverflowError:
             inside = False
         if not inside:
-            key = next(k for k in keys if any(abs(c) > COORD_LIMIT for c in k))
+            key = next(k for k in rows if any(abs(c) > COORD_LIMIT for c in k))
             raise CoordinateOverflowError(f"position {key} is outside the supported coordinate range")
-        if len(keys) > 1:
-            order = np.lexsort(coords.T[::-1])
-            coords, amps = coords[order], amps[order]
-        state = cls(coords, amps)
+        norm = state.norm()
+        if not math.isfinite(norm):  # any non-finite entry makes the norm non-finite
+            finite = np.isfinite(state.amps).all(axis=1)
+            if not finite.all():
+                raise ValueError(
+                    f"non-finite amplitude at position {state.positions()[int(finite.argmin())]}"
+                )
         if pruned:
             state = state._nonzero_rows()
         if normalize:
@@ -194,7 +204,10 @@ def sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, keys, first
 
 
-def _shared_rows(a: WalkState, b: WalkState) -> tuple[np.ndarray, np.ndarray]:
+Shared = tuple[np.ndarray, np.ndarray]
+
+
+def shared_rows(a: WalkState, b: WalkState) -> Shared:
     """Row indices (in a, in b) of the positions both states occupy, in sorted order.
 
     Both coordinate arrays are sorted and unique, so after a stable sort of
@@ -205,23 +218,30 @@ def _shared_rows(a: WalkState, b: WalkState) -> tuple[np.ndarray, np.ndarray]:
     return order[:-1][same], order[1:][same] - len(a)
 
 
-def inner_product(a: WalkState, b: WalkState) -> complex:
-    """<a|b> over the shared support; conjugation is on the first argument."""
+def inner_product(a: WalkState, b: WalkState, shared: Shared | None = None) -> complex:
+    """<a|b> over the shared support; conjugation is on the first argument.
+
+    ``shared`` is ``shared_rows(a, b)``, for a caller that already joined
+    the two states.
+    """
     _check_compatible(a, b)
-    ia, ib = _shared_rows(a, b)
+    ia, ib = shared_rows(a, b) if shared is None else shared
     return complex(np.vdot(a.amps[ia], b.amps[ib]))
 
 
-def difference(a: WalkState, b: WalkState) -> np.ndarray:
+def difference(a: WalkState, b: WalkState, shared: Shared | None = None) -> np.ndarray:
     """Rows of a - b, one per position in either support (missing rows are 0)."""
     _check_compatible(a, b)
-    ia, ib = _shared_rows(a, b)
+    ia, ib = shared_rows(a, b) if shared is None else shared
     only_a, only_b = np.ones(len(a), dtype=bool), np.ones(len(b), dtype=bool)
     only_a[ia] = only_b[ib] = False
     return np.concatenate((a.amps[ia] - b.amps[ib], a.amps[only_a], -b.amps[only_b]))
 
 
-def l2_distance(a: WalkState, b: WalkState) -> float:
-    """l2 norm of a - b over the union of supports (missing slots are 0)."""
-    diff = difference(a, b)
+def l2_distance(a: WalkState, b: WalkState, shared: Shared | None = None) -> float:
+    """l2 norm of a - b over the union of supports (missing slots are 0).
+
+    ``shared``, when given, is ``shared_rows(a, b)``.
+    """
+    diff = difference(a, b, shared)
     return math.sqrt(float(np.vdot(diff, diff).real))

@@ -12,6 +12,7 @@ from revivalwalk import (
     inner_product,
     l2_distance,
 )
+from revivalwalk.states import shared_rows
 
 A2 = 1.0 / math.sqrt(2.0)
 W = cmath.exp(2j * math.pi / 3)
@@ -101,6 +102,29 @@ def test_amplitude_vectors_are_frozen_and_copied():
     [(_, vec)] = psi.items()
     with pytest.raises(ValueError):
         vec[0] = 2.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mapping_form_sorts_rows_into_the_arrays(d):
+    psi = random_sparse_state(d, 3, np.random.default_rng(d), radius=4, sites=6)
+    rows = dict(reversed(psi.items()))
+    built = WalkState(d, 3, rows)
+    assert built.coords.dtype == np.int64 and built.amps.dtype == np.complex128
+    assert np.array_equal(built.coords, psi.coords) and np.array_equal(built.amps, psi.amps)
+    assert not built.coords.flags.writeable and not built.amps.flags.writeable
+    one = WalkState(d, 3, {(0,) * d: [0j, 1.0, 0j]})
+    assert one.positions() == [(0,) * d] and one.amplitude((0,) * d, 1) == 1.0
+
+
+def test_one_join_gives_the_same_overlap_and_distance():
+    rng = np.random.default_rng(5)
+    a, b = (random_sparse_state(2, 3, rng, sites=8) for _ in range(2))
+    b = WalkState.from_entries(2, 3, [(p, j, v[j]) for p, v in a.items()[:4] + b.items()
+                                      for j in range(3)], normalize=True)
+    shared = shared_rows(a, b)
+    assert len(shared[0]) >= 4
+    assert inner_product(a, b, shared) == inner_product(a, b)
+    assert l2_distance(a, b, shared) == l2_distance(a, b)
 
 
 def test_coin_index_bounds_checked():
